@@ -14,8 +14,17 @@ sensor interval, every block instrumented.
 
 from __future__ import annotations
 
+import math
+
 from ..telemetry.session import NULL_TELEMETRY
 from ..thermal.sensors import SensorReading
+
+#: Quiet band of a policy no reading can move: :meth:`DTMPolicy.on_sensor`
+#: of the base (ideal) policy.
+ALWAYS_QUIET = (-math.inf, math.inf)
+
+#: Empty quiet band: every reading may change the policy's state.
+NEVER_QUIET = (math.inf, -math.inf)
 
 
 class DTMPolicy:
@@ -39,6 +48,21 @@ class DTMPolicy:
     def on_sensor(self, reading: SensorReading) -> None:
         """Observe a sensor reading; update throttle state."""
         return None
+
+    def quiet_band(self) -> tuple[float, float]:
+        """``(low, high)``: hottest temperatures that change nothing now.
+
+        A reading whose hottest block lies strictly between ``low`` and
+        ``high`` leaves every attribute of the policy unchanged in its
+        current state, so the batch kernel skips the :meth:`on_sensor`
+        call for it.  The band assumes no telemetry session and no
+        actuator fault model, which batch lanes never carry.  A subclass
+        that overrides :meth:`on_sensor` without overriding this method is
+        called at every reading.
+        """
+        if type(self).on_sensor is DTMPolicy.on_sensor:
+            return ALWAYS_QUIET
+        return NEVER_QUIET
 
     def describe(self) -> str:
         return f"{self.name} (engaged {self.engagements}x)"

@@ -16,14 +16,14 @@ is no stall and no upper bound on temperature.
 
 from __future__ import annotations
 
+import math
+
 from ..telemetry.events import EventType
 from ..thermal.sensors import SensorReading
-from .base import DTMPolicy
+from .base import NEVER_QUIET, DTMPolicy
 
 #: How far (K) the tracking threshold sits below the emergency point when
-#: the simulator builds a TTDFS policy from a config.  Shared with the
-#: vectorized policy bank (:mod:`repro.sim.cohort`) so both paths derive
-#: the identical threshold.
+#: the simulator builds a TTDFS policy from a config.
 TRACKING_OFFSET_K = 1.0
 
 #: Default kelvin per frequency notch.
@@ -52,20 +52,17 @@ class TTDFS(DTMPolicy):
         self.tracking_threshold_k = tracking_threshold_k
         self.degrees_per_step = degrees_per_step
         self.max_slowdown = max_slowdown
-        self.peak_seen_k = 0.0
 
     def on_sensor(self, reading: SensorReading) -> None:
         hottest = reading.hottest_k
-        if hottest > self.peak_seen_k:
-            self.peak_seen_k = hottest
-        over = hottest - self.tracking_threshold_k  # repro: twin(ttdfs-cool) begin
+        over = hottest - self.tracking_threshold_k
         if over <= 0:
             if self.slowdown != 1:
                 self.slowdown = 1
                 self.power_scale = 1.0
                 self._emit_step(reading, hottest)
-            return  # repro: twin(ttdfs-cool) end
-        steps = 1 + int(over / self.degrees_per_step)  # repro: twin(ttdfs-step) begin
+            return
+        steps = 1 + int(over / self.degrees_per_step)
         new_slowdown = min(self.max_slowdown, 1 + steps)
         if new_slowdown != self.slowdown:
             self.slowdown = new_slowdown
@@ -73,7 +70,15 @@ class TTDFS(DTMPolicy):
             # constant (TTDFS relaxes timing, it does not lower voltage).
             self.power_scale = 1.0
             self.engagements += 1
-            self._emit_step(reading, hottest)  # repro: twin(ttdfs-step) end
+            self._emit_step(reading, hottest)
+
+    def quiet_band(self) -> tuple[float, float]:
+        if self.slowdown != 1:
+            return NEVER_QUIET
+        # At full speed only a reading above the tracking point acts:
+        # ``hottest - tracking <= 0`` holds exactly when ``hottest <=
+        # tracking``, i.e. below the next float up.
+        return (-math.inf, math.nextafter(self.tracking_threshold_k, math.inf))
 
     def _emit_step(self, reading: SensorReading, hottest: float) -> None:
         self.telemetry.emit(

@@ -8,14 +8,14 @@ their thermal/DTM configs differ.  This engine exploits that: lanes are
 grouped by :func:`trajectory_key` (workloads + seed; machine and time base
 are already fingerprint-shared), each trajectory group runs **one** SMT
 core, and everything that can differ per lane — thermal network state,
-sensor crossing counters, peak temperatures, EWMA banks, per-lane RNG
-banks, and the full DTM policy state (:class:`~repro.sim.cohort.LaneDTM`)
-— is carried as structure-of-arrays NumPy state advanced in lock step at
-the shared sample/sensor boundaries.  Heterogeneous lanes (mixed workload
-pairs × mixed seeds) therefore batch in a single kernel call: one cohort
-tree per trajectory, one shared worklist, and one generated uop stream per
-distinct ``(workload, thread, seed)`` triple across all of them
-(:mod:`repro.sim.soa`).
+sensor crossing counters, peak temperatures, EWMA banks, and per-lane RNG
+banks — is carried as structure-of-arrays NumPy state advanced in lock
+step at the shared sample/sensor boundaries, next to one scalar DTM
+policy object per lane (:class:`~repro.sim.cohort.LaneDTM`).
+Heterogeneous lanes (mixed workload pairs × mixed seeds) therefore batch
+in a single kernel call: one cohort tree per trajectory, one shared
+worklist, and one generated uop stream per distinct ``(workload, thread,
+seed)`` triple across all of them (:mod:`repro.sim.soa`).
 
 The contract is the fast path's: results **byte-identical** to the scalar
 :class:`~repro.sim.simulator.Simulator` (same RunResult JSON, same cache
@@ -28,9 +28,12 @@ episode derivation is untouched).  Exactness is by construction:
   group* whose packed state advances with the very expression
   ``E(dt) @ state + F(dt) @ source`` the scalar model applies — same
   cached propagators, same float operations, same bits;
-* EWMA updates, threshold-crossing detection, and every DTM transition are
-  elementwise float comparisons with the scalar expressions, which are
-  IEEE-identical whether applied to one value or an array.
+* EWMA updates and threshold-crossing detection are elementwise float
+  operations with the scalar expressions, which are IEEE-identical whether
+  applied to one value or an array;
+* every DTM and sedation decision is the lane's own scalar policy's
+  ``on_sensor`` call, skipped only while the lane's reading stays inside
+  the policy's quiet band, where that call would change nothing.
 
 **Divergence.**  When a lane's policy takes a *pipeline-visible* action —
 a stop-and-go/safety-net stall, a DVFS/TTDFS/fetch-gating slowdown or
@@ -38,7 +41,7 @@ power-scale step, a sedation or release changing the per-thread actuation
 flags (see :mod:`repro.sim.cohort` for the contract) — lanes whose visible
 state still agrees can keep sharing a pipeline, and lanes that disagree no
 longer can.  The batch therefore runs as a worklist of **cohorts**: at
-every sensor boundary each cohort evaluates all its lanes' policies; if the
+every sensor boundary each cohort calls its acting lanes' policies; if the
 resulting visible tuples differ, the cohort splits — the largest partition
 keeps the live pipeline, the others resume from a snapshot of the shared
 state at the boundary — and every child continues in lock step.  Nothing is
@@ -69,14 +72,9 @@ from ..perf import PerfCounters
 from ..power import EnergyModel, PowerAccountant
 from ..thermal import RCThermalModel
 from ..thermal.sensors import BatchCrossingDetector
-from .cohort import CODE_SEDATION, Cohort, LaneDTM, NetworkGroup, network_key
-from .soa import (
-    LaneRngBank,
-    StreamBank,
-    build_streamed_pipeline,
-    release_cursors,
-    sample_sensors,
-)
+from .cohort import Cohort, LaneDTM, LaneView, NetworkGroup, network_key
+from .simulator import _prefilled_core, action_counts, build_policy, run_span
+from .soa import LaneRngBank, StreamBank, release_cursors, sample_sensors
 from .stats import RunResult, ThreadStats
 
 #: Batch-compatibility key schema.  Bump when the set of lane-shared inputs
@@ -272,7 +270,13 @@ def _build_root(
     base = spec_list[members[0]]
     config0 = base.config
     workload_names = tuple(base.workloads)
-    core = build_streamed_pipeline(config0, workload_names, streams)
+    core = _prefilled_core(
+        config0.machine,
+        [
+            streams.cursor(name, tid, config0.seed)
+            for tid, name in enumerate(workload_names)
+        ],
+    )
     accountant = PowerAccountant(core, energy, config0.thermal.frequency_hz)
     monitor = BatchUsageMonitor(
         core,
@@ -304,20 +308,19 @@ def _build_root(
             ]
         ),
     )
-    # Expected cooling time per lane — the scalar Simulator's derivation:
-    # configured override, else 1.5 thermal time constants in cycles.
-    cooling_cycles = [
-        spec_list[index].config.sedation.expected_cooling_cycles
-        if spec_list[index].config.sedation.expected_cooling_cycles is not None
-        else spec_list[index].config.thermal.cycles_from_seconds(
-            groups[key].model.expected_cooling_seconds()
-        )
-        for index, key in zip(members, group_keys, strict=True)
+    # One scalar policy per lane, as the scalar Simulator builds it; a
+    # sedation controller reaches the cohort through the lane's view.
+    views = [
+        LaneView(core, monitor.bank, row) for row in range(len(members))
     ]
     dtm = LaneDTM(
-        [spec_list[index].config for index in members],
-        cooling_cycles,
-        len(core.threads),
+        [
+            build_policy(
+                spec_list[index].config, view, view, groups[key].model
+            )
+            for index, key, view in zip(members, group_keys, views, strict=True)
+        ],
+        views,
     )
     return Cohort(
         np.asarray(members, dtype=np.int64),
@@ -368,7 +371,7 @@ def _advance_cohort(
             for thread in core.threads:
                 thread.cycles_cooling += chunk
             sample_sensors(cohort, temps)
-            changed = dtm.on_sensor_stalled(temps.max(axis=1))
+            changed = dtm.on_sensor_stalled(core.cycle, temps)
             # The stall supersedes the grids: both restart from here.
             cohort.next_sample = core.cycle + sample_interval
             cohort.next_sensor = core.cycle + sensor_interval
@@ -382,7 +385,7 @@ def _advance_cohort(
         boundary = min(cohort.next_sample, cohort.next_sensor, target)
         span = boundary - core.cycle
         if span > 0:
-            _run_span(core, cohort.slowdown, span)
+            run_span(core, cohort.slowdown, span)
         if core.cycle >= cohort.next_sample:
             frozen = None
             if any(thread.sedated for thread in core.threads):
@@ -395,11 +398,7 @@ def _advance_cohort(
             powers = accountant.block_powers(cohort.power_scale)
             _advance_groups(cohort, group_list, powers, seconds_per_cycle)
             sample_sensors(cohort, temps)
-            halted = [thread.halted for thread in core.threads]
-            changed = dtm.on_sensor(
-                core.cycle, temps, temps.max(axis=1), halted,
-                monitor.bank.values,
-            )
+            changed = dtm.on_sensor(core.cycle, temps)
             cohort.next_sensor += sensor_interval
             if changed:
                 partitions = _partition(dtm, width)
@@ -407,30 +406,6 @@ def _advance_cohort(
                     return cohort.split(partitions)
                 cohort.adopt_visible()
     return None
-
-
-def _run_span(core, slowdown: int, span: int) -> None:  # repro: twin(run-span)
-    """The scalar ``Simulator._run_span``, driven by the cohort's slowdown."""
-    if slowdown > 1:
-        active = span // slowdown
-        throttled = span - active
-        if active:
-            core.run_cycles(active)
-        if throttled:
-            core.skip_cycles(throttled)
-        for thread in core.threads:
-            thread.cycles_cooling += throttled
-            if thread.sedated:
-                thread.cycles_sedated += active
-            else:
-                thread.cycles_normal += active
-        return
-    core.run_cycles(span)
-    for thread in core.threads:
-        if thread.sedated:
-            thread.cycles_sedated += span
-        else:
-            thread.cycles_normal += span
 
 
 def _advance_groups(
@@ -505,7 +480,9 @@ def _collect_cohort(
             thermal_advances=group.advances,
             propagator_builds=group.model.perf_propagator_builds,
         )
-        is_sedation = int(dtm.code[position]) == CODE_SEDATION
+        engagements, sedations, safety_nets = action_counts(
+            dtm.policies[position]
+        )
         results[lane] = RunResult(
             workloads=workload_names,
             policy=spec_list[lane].config.dtm_policy,
@@ -517,11 +494,9 @@ def _collect_cohort(
                 for count in detector.emergencies_per_block[position]
             ),
             peak_temperature_k=float(detector.peak_k[position]),
-            sedations=int(dtm.sedations[position]) if is_sedation else 0,
-            safety_net_engagements=(
-                int(dtm.safety_nets[position]) if is_sedation else 0
-            ),
-            stall_engagements=int(dtm.engagements[position]),
+            sedations=sedations,
+            safety_net_engagements=safety_nets,
+            stall_engagements=engagements,
             trace=(),
             perf=perf,
             telemetry=None,

@@ -1,112 +1,59 @@
-"""Cohorts: lock-step lane groups with vectorized DTM state.
+"""Cohorts: lock-step lane groups, each lane driving its own DTM policy.
 
 The batch engine (:mod:`repro.sim.batch`) runs one SMT pipeline on behalf
 of many config-variant lanes.  That is sound exactly as long as every lane
 would drive the pipeline identically — and a DTM action is the one thing
-that breaks it.  This module carries the full per-lane DTM state as
-structure-of-arrays NumPy banks (:class:`LaneDTM`) and defines the
-**pipeline-visible divergence contract** that decides when lanes can no
-longer share a pipeline:
+that breaks it.  Every lane therefore carries the very policy object a
+scalar :class:`~repro.sim.simulator.Simulator` would build for its config
+(:func:`~repro.sim.simulator.build_policy`), held by :class:`LaneDTM`, and
+this module defines the **pipeline-visible divergence contract** that
+decides when lanes can no longer share a pipeline:
 
 *Pipeline-visible state* is everything the scalar run loop or the shared
 power accountant consumes:
 
-* ``stalled`` — the policy's global stall flag (stop-and-go, sedation's
+* ``global_stall`` — the policy's stall flag (stop-and-go, sedation's
   safety net), which selects the run loop's skip branch;
 * ``slowdown`` — the DVFS/TTDFS/fetch-gating frequency divisor, which
   changes how a span is split into run and skip cycles;
 * ``power_scale`` — the dynamic-power factor handed to
   ``PowerAccountant.block_powers`` (the accountant advances its snapshot
   once per boundary, so lanes sharing it must agree on the scale);
-* the per-thread ``sedated`` / ``throttle`` actuation flags, which gate
-  fetch inside the pipeline.
+* the per-thread sedated / throttle actuation flags, which gate fetch
+  inside the pipeline.
 
-Everything else a policy owns — engagement counters, TTDFS's running peak,
-the sedation controller's per-resource FSM states, deadlines, and
-culprit-membership sets — is *invisible*: it influences nothing until it
-changes one of the visible knobs, so it rides along per lane without
-constraining the batch.
+Everything else a policy owns — engagement counters, the sedation
+controller's per-resource FSM states, deadlines, and culprit-membership
+sets — is *invisible*: it influences nothing until it changes one of the
+visible knobs, so it rides along per lane without constraining the batch.
 
 A :class:`Cohort` is a set of lanes whose visible state (and therefore
-whole visible *history*) is identical.  At every sensor boundary the bank
-evaluates the exact scalar policy expressions per lane; if the resulting
-visible tuples disagree, the cohort **splits**: lanes are partitioned by
+whole visible *history*) is identical.  At every sensor boundary
+:class:`LaneDTM` calls the ``on_sensor`` of each lane whose hottest
+reading falls outside its policy's quiet band; if the lanes' visible
+tuples then disagree, the cohort **splits**: lanes are partitioned by
 :meth:`LaneDTM.visible_key`, the largest partition keeps the live pipeline,
 and every other partition deep-copies the pipeline/accountant at the
 boundary — a snapshot of the shared prefix — and continues as its own
 (possibly width-1) lock-step group.  Nothing ever restarts from cycle 0.
 
-Exactness is by construction: the transition expressions below are the
-scalar policies' own comparisons applied elementwise (see each policy's
-module), culprit selection replays :func:`repro.core.detector.identify_culprit`
-against the lane's EWMA bank values, and the sedation FSM is a line-by-line
-mirror of :class:`repro.core.sedation.SelectiveSedationController` minus
-telemetry/fault hooks (batch lanes carry neither).
+Exactness is by construction: the decisions are the scalar policies' own
+``on_sensor`` calls, fed the lane's reported reading; a sedation
+controller sees the cohort's pipeline and EWMA bank through its lane's
+:class:`LaneView`.  A lane is skipped only inside its quiet band, where
+its ``on_sensor`` would change nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from typing import NamedTuple
 
 import numpy as np
 
-from ..blocks import NUM_BLOCKS
-from ..core.sedation import SEDATION_IDLE, SEDATION_WAITING
-from ..dtm.dvfs import DEFAULT_SLOWDOWN, DEFAULT_VOLTAGE_RATIO
-from ..dtm.ttdfs import (
-    DEFAULT_DEGREES_PER_STEP,
-    DEFAULT_MAX_SLOWDOWN,
-    TRACKING_OFFSET_K,
-)
 from ..thermal import RCThermalModel
-
-#: Policy-name → lane code (int8 column of the bank).  The codes gate every
-#: vector transition below, so a lane only ever evaluates its own policy.
-POLICY_CODES = {
-    "ideal": 0,
-    "stop_and_go": 1,
-    "dvfs": 2,
-    "ttdfs": 3,
-    "fetch_gating": 4,
-    "sedation": 5,
-}
-
-CODE_IDEAL = POLICY_CODES["ideal"]
-CODE_STOP_AND_GO = POLICY_CODES["stop_and_go"]
-CODE_DVFS = POLICY_CODES["dvfs"]
-CODE_TTDFS = POLICY_CODES["ttdfs"]
-CODE_FETCH_GATING = POLICY_CODES["fetch_gating"]
-CODE_SEDATION = POLICY_CODES["sedation"]
-
-#: ndarray attributes of :class:`LaneDTM`, sliced wholesale on a split.
-_ARRAY_FIELDS = (
-    "code",
-    "emergency",
-    "resume",
-    "dvfs_slowdown",
-    "dvfs_power",
-    "ttdfs_tracking",
-    "ttdfs_degrees",
-    "ttdfs_max",
-    "peak_seen",
-    "sed_upper",
-    "sed_lower",
-    "sed_wait",
-    "sed_throttle_mode",
-    "sed_modulus",
-    "sed_state",
-    "sed_deadline",
-    "stalled",
-    "slowdown",
-    "power_scale",
-    "sedated",
-    "throttle",
-    "engagements",
-    "sedations",
-    "releases",
-    "safety_nets",
-)
+from ..thermal.sensors import SensorReading
 
 
 def network_key(thermal) -> str:
@@ -155,319 +102,127 @@ class NetworkGroup:
         return clone
 
 
-class LaneDTM:
-    """Structure-of-arrays DTM state for the lanes of one cohort.
+class LaneThread(NamedTuple):
+    """One thread as a lane's sedation controller sees it."""
 
-    One row per lane; columns hold the parameters and mutable state of
-    *whichever* policy that lane runs (unused columns stay at their
-    defaults).  Transition evaluation applies the scalar policies' exact
-    expressions under per-policy code masks, so adding a lane of a
-    different policy to the cohort costs one more row, not a new code path.
+    tid: int
+    sedated: bool
+    throttle_modulus: int
+    halted: bool
+
+
+class LaneView:
+    """One lane's window onto its cohort: the controller's core and monitor.
+
+    A :class:`~repro.core.sedation.SelectiveSedationController` reads
+    threads, actuates them, and reads EWMAs through the objects it was
+    built with.  Handed this view for both, it actuates the lane's own
+    *belief* flags (which :meth:`LaneDTM.visible_key` reports and
+    :meth:`Cohort.adopt_visible` applies to the shared pipeline), reads
+    ``halted`` from the shared pipeline, and reads EWMAs from the lane's
+    row of the cohort's :class:`~repro.core.ewma.EwmaBank`.
     """
 
-    def __init__(self, configs, cooling_cycles, num_threads: int) -> None:
-        lanes = len(configs)
-        self.code = np.array(
-            [POLICY_CODES[config.dtm_policy] for config in configs],
-            dtype=np.int8,
-        )
-        self.emergency = np.array(
-            [config.thermal.emergency_k for config in configs]
-        )
-        self.resume = np.array(
-            [config.thermal.normal_operating_k for config in configs]
-        )
-        self.dvfs_slowdown = np.full(lanes, DEFAULT_SLOWDOWN, dtype=np.int64)
-        self.dvfs_power = np.full(
-            lanes, DEFAULT_VOLTAGE_RATIO * DEFAULT_VOLTAGE_RATIO
-        )
-        self.ttdfs_tracking = self.emergency - TRACKING_OFFSET_K
-        self.ttdfs_degrees = np.full(lanes, DEFAULT_DEGREES_PER_STEP)
-        self.ttdfs_max = np.full(lanes, DEFAULT_MAX_SLOWDOWN, dtype=np.int64)
-        self.peak_seen = np.zeros(lanes)
-        self.sed_upper = np.array(
-            [config.sedation.upper_threshold_k for config in configs]
-        )
-        self.sed_lower = np.array(
-            [config.sedation.lower_threshold_k for config in configs]
-        )
-        # The scalar controller clamps the derived cooling time to >= 1 and
-        # truncates the multiplied wait once; both are constants per run.
-        self.sed_wait = np.array(
-            [
-                int(config.sedation.cooling_wait_multiplier * max(1, cycles))
-                for config, cycles in zip(
-                    configs, cooling_cycles, strict=True
-                )
-            ],
-            dtype=np.int64,
-        )
-        self.sed_throttle_mode = np.array(
-            [config.sedation.sedation_mode == "throttle" for config in configs],
-            dtype=bool,
-        )
-        self.sed_modulus = np.array(
-            [config.sedation.throttle_modulus for config in configs],
-            dtype=np.int64,
-        )
-        self.sed_state = np.full(
-            (lanes, NUM_BLOCKS), SEDATION_IDLE, dtype=np.int8
-        )
-        self.sed_deadline = np.zeros((lanes, NUM_BLOCKS), dtype=np.int64)
-        #: per-lane, per-block culprit membership — the scalar controller's
-        #: ``_sedated_for`` sets, one copy per lane.
-        self.sedated_for: list[list[set[int]]] = [
-            [set() for _ in range(NUM_BLOCKS)] for _ in range(lanes)
+    __slots__ = ("sedated", "throttle", "core", "bank", "row")
+
+    def __init__(self, core, bank, row: int) -> None:
+        threads = len(core.threads)
+        self.sedated = [False] * threads
+        self.throttle = [0] * threads
+        self.bind(core, bank, row)
+
+    def bind(self, core, bank, row: int) -> None:
+        """Point the view at the cohort the lane now rides in."""
+        self.core = core
+        self.bank = bank
+        self.row = row
+
+    @property
+    def threads(self) -> list[LaneThread]:
+        return [
+            LaneThread(tid, self.sedated[tid], self.throttle[tid], thread.halted)
+            for tid, thread in enumerate(self.core.threads)
         ]
-        # Pipeline-visible state (the cohort invariant: identical rows).
-        self.stalled = np.zeros(lanes, dtype=bool)
-        self.slowdown = np.ones(lanes, dtype=np.int64)
-        self.power_scale = np.ones(lanes)
-        self.sedated = np.zeros((lanes, num_threads), dtype=bool)
-        self.throttle = np.zeros((lanes, num_threads), dtype=np.int64)
-        # Counters surfaced in RunResult (exact scalar semantics: DTM
-        # engagements of any policy report as stall_engagements).
-        self.engagements = np.zeros(lanes, dtype=np.int64)
-        self.sedations = np.zeros(lanes, dtype=np.int64)
-        self.releases = np.zeros(lanes, dtype=np.int64)
-        self.safety_nets = np.zeros(lanes, dtype=np.int64)
 
-    # -- transition evaluation ---------------------------------------------
+    def set_sedated(self, tid: int, sedated: bool) -> None:
+        self.sedated[tid] = sedated
 
-    def on_sensor_stalled(self, hottest: np.ndarray) -> bool:  # repro: twin(stopgo, sedation-stall-release)
-        """Stalled-cohort boundary: the resume check, nothing else.
+    def set_throttled(self, tid: int, modulus: int) -> None:
+        self.throttle[tid] = modulus
 
-        Only stop-and-go and sedation lanes can be in a stalled cohort, and
-        both do exactly ``hottest <= resume_k → disengage`` while stalled.
-        Returns True when any lane's visible state changed.
+    def weighted_average(self, tid: int, block: int) -> float:
+        return float(self.bank.values[self.row, tid, block])
+
+
+class LaneDTM:
+    """The DTM policies of one cohort's lanes behind a quiet-band filter.
+
+    ``policies[i]`` is lane ``i``'s scalar policy and ``views[i]`` its
+    :class:`LaneView`; ``low``/``high`` cache each policy's
+    :meth:`~repro.dtm.base.DTMPolicy.quiet_band`, so a boundary costs one
+    vector compare and an ``on_sensor`` call per lane outside its band.
+    """
+
+    def __init__(self, policies: list, views: list[LaneView]) -> None:
+        self.policies = policies
+        self.views = views
+        bands = [policy.quiet_band() for policy in policies]
+        self.low = np.array([band[0] for band in bands])
+        self.high = np.array([band[1] for band in bands])
+
+    def on_sensor(self, cycle: int, temps: np.ndarray) -> bool:
+        """Feed every acting lane its reading ``temps[lane]``.
+
+        Returns True when some lane's visible state changed (the caller
+        then partitions by :meth:`visible_key`).
         """
-        resumed = self.stalled & (hottest <= self.resume)
-        if not resumed.any():
+        hottest = temps.max(axis=1)
+        acting = (hottest <= self.low) | (hottest >= self.high)
+        if not acting.any():
             return False
-        self.stalled[resumed] = False
-        return True
-
-    def on_sensor(
-        self,
-        cycle: int,
-        temps: np.ndarray,
-        hottest: np.ndarray,
-        halted: list[bool],
-        ewma_values: np.ndarray,
-    ) -> bool:
-        """Unstalled-cohort boundary: every policy's exact engage logic.
-
-        ``temps``/``hottest`` are the lanes' *reported* (noise-included)
-        readings, ``ewma_values`` the monitor bank ``(lanes, threads,
-        blocks)``.  Returns True when any lane's visible state may have
-        changed (the caller then partitions by :meth:`visible_key`).
-        """
         changed = False
-        code = self.code
-        throttled = self.slowdown > 1  # pre-boundary state, like the scalar
-
-        mask = (code == CODE_STOP_AND_GO) & (hottest >= self.emergency)  # repro: twin(stopgo) begin
-        if mask.any():
-            self.stalled[mask] = True
-            self.engagements[mask] += 1
-            changed = True  # repro: twin(stopgo) end
-
-        is_dvfs = code == CODE_DVFS  # repro: twin(dvfs) begin
-        mask = is_dvfs & throttled & (hottest <= self.resume)
-        if mask.any():
-            self.slowdown[mask] = 1
-            self.power_scale[mask] = 1.0
-            changed = True
-        mask = is_dvfs & ~throttled & (hottest >= self.emergency)
-        if mask.any():
-            self.slowdown[mask] = self.dvfs_slowdown[mask]
-            self.power_scale[mask] = self.dvfs_power[mask]
-            self.engagements[mask] += 1
-            changed = True  # repro: twin(dvfs) end
-
-        is_ttdfs = code == CODE_TTDFS
-        if is_ttdfs.any():
-            np.maximum(
-                self.peak_seen, hottest, out=self.peak_seen, where=is_ttdfs
-            )
-            over = hottest - self.ttdfs_tracking  # repro: twin(ttdfs-cool) begin
-            mask = is_ttdfs & (over <= 0.0) & (self.slowdown != 1)
-            if mask.any():
-                self.slowdown[mask] = 1
-                self.power_scale[mask] = 1.0
-                changed = True  # repro: twin(ttdfs-cool) end
-            hot = np.flatnonzero(is_ttdfs & (over > 0.0))
-            if hot.size:  # repro: twin(ttdfs-step) begin
-                # int() truncation == floor for the positive values here.
-                steps = 1 + (
-                    over[hot] / self.ttdfs_degrees[hot]
-                ).astype(np.int64)
-                wanted = np.minimum(self.ttdfs_max[hot], 1 + steps)
-                delta = wanted != self.slowdown[hot]
-                if delta.any():
-                    moved = hot[delta]
-                    self.slowdown[moved] = wanted[delta]
-                    self.power_scale[moved] = 1.0
-                    self.engagements[moved] += 1
-                    changed = True  # repro: twin(ttdfs-step) end
-
-        is_gating = code == CODE_FETCH_GATING  # repro: twin(fetch-gating) begin
-        mask = is_gating & throttled & (hottest <= self.resume)
-        if mask.any():
-            self.slowdown[mask] = 1
-            changed = True
-        mask = is_gating & ~throttled & (hottest >= self.emergency)
-        if mask.any():
-            self.slowdown[mask] = 2
-            self.engagements[mask] += 1
-            changed = True  # repro: twin(fetch-gating) end
-
-        is_sedation = code == CODE_SEDATION
-        if is_sedation.any():
-            safety = is_sedation & (hottest >= self.emergency)  # repro: twin(sedation-safety-net) begin
-            for lane in np.flatnonzero(safety):
-                self._safety_net(int(lane))
-                changed = True  # repro: twin(sedation-safety-net) end
-            calm = np.flatnonzero(is_sedation & ~safety)
-            if calm.size:
-                # Vector gate: a lane's FSM only has work when some block
-                # is WAITING or crosses its upper threshold while IDLE.
-                state = self.sed_state[calm]
-                busy = (
-                    (
-                        (state == SEDATION_IDLE)
-                        & (temps[calm] >= self.sed_upper[calm, None])
-                    )
-                    | (state == SEDATION_WAITING)
-                ).any(axis=1)
-                for lane in calm[busy]:
-                    lane = int(lane)
-                    if self._sedation_fsm(
-                        lane, cycle, temps[lane], halted, ewma_values[lane]
-                    ):
-                        changed = True
+        for lane in np.flatnonzero(acting).tolist():
+            policy = self.policies[lane]
+            before = self.visible_key(lane)
+            policy.on_sensor(SensorReading(cycle, temps[lane].copy()))
+            self.low[lane], self.high[lane] = policy.quiet_band()
+            if self.visible_key(lane) != before:
+                changed = True
         return changed
 
-    # -- the per-lane sedation FSM (scalar controller, minus telemetry) ----
-
-    def _sedation_fsm(  # repro: twin(sedation-fsm)
-        self,
-        lane: int,
-        cycle: int,
-        temps_row: np.ndarray,
-        halted: list[bool],
-        ewma_lane: np.ndarray,
-    ) -> bool:
-        upper = self.sed_upper[lane]
-        lower = self.sed_lower[lane]
-        wait = int(self.sed_wait[lane])
-        state = self.sed_state[lane]
-        deadline = self.sed_deadline[lane]
-        changed = False
-        for block in range(NUM_BLOCKS):
-            temperature = float(temps_row[block])
-            if state[block] == SEDATION_IDLE:
-                if temperature >= upper:
-                    if self._sedate_culprit(lane, block, halted, ewma_lane):
-                        state[block] = SEDATION_WAITING
-                        deadline[block] = cycle + wait
-                        changed = True
-            else:  # SEDATION_WAITING
-                if temperature <= lower:
-                    self._release_block(lane, block)
-                    changed = True
-                elif cycle >= deadline[block]:
-                    # Not cooling: another thread must also have a
-                    # power-density problem — sedate the next one.
-                    if self._sedate_culprit(lane, block, halted, ewma_lane):
-                        changed = True
-                    deadline[block] = cycle + wait
-        return changed
-
-    def _sedate_culprit(
-        self,
-        lane: int,
-        block: int,
-        halted: list[bool],
-        ewma_lane: np.ndarray,
-    ) -> bool:
-        sed_row = self.sedated[lane]
-        throttle_row = self.throttle[lane]
-        candidates = [  # repro: twin(sedation-culprit-floor) begin
-            tid
-            for tid in range(len(sed_row))
-            if not sed_row[tid] and not throttle_row[tid] and not halted[tid]
-        ]
-        if len(candidates) < 2:
-            # The last unsedated thread cannot degrade any other thread:
-            # let it run; the stop-and-go safety net guards the emergency.
-            return False  # repro: twin(sedation-culprit-floor) end
-        best = -1
-        best_average = -1.0
-        for tid in candidates:
-            average = ewma_lane[tid, block]
-            if average > best_average:
-                best_average = average
-                best = tid
-        self.sedated_for[lane][block].add(best)
-        if self.sed_throttle_mode[lane]:
-            throttle_row[best] = self.sed_modulus[lane]
-        else:
-            sed_row[best] = True
-        self.sedations[lane] += 1
-        return True
-
-    def _release_block(self, lane: int, block: int) -> None:
-        sets = self.sedated_for[lane]
-        for tid in sorted(sets[block]):
-            sets[block].discard(tid)
-            if not any(tid in members for members in sets):
-                if self.sed_throttle_mode[lane]:
-                    self.throttle[lane][tid] = 0
-                else:
-                    self.sedated[lane][tid] = False
-            self.releases[lane] += 1
-        self.sed_state[lane][block] = SEDATION_IDLE
-
-    def _safety_net(self, lane: int) -> None:
-        """Emergency despite sedation: stall, release everyone, reset FSMs."""
-        self.stalled[lane] = True  # repro: twin(sedation-safety-net) begin
-        self.engagements[lane] += 1
-        self.safety_nets[lane] += 1  # repro: twin(sedation-safety-net) end
-        sets = self.sedated_for[lane]
-        members: set[int] = set()
-        for block_members in sets:
-            members |= block_members
-        for tid in sorted(members):
-            if self.sed_throttle_mode[lane]:
-                self.throttle[lane][tid] = 0
-            else:
-                self.sedated[lane][tid] = False
-        for block in range(NUM_BLOCKS):
-            sets[block].clear()
-        self.sed_state[lane][:] = SEDATION_IDLE
+    #: A stalled cohort's boundary is the same dispatch: only stop-and-go
+    #: and sedation lanes stall, and their bands then hold just the resume
+    #: check.  The separate name keeps stalled boundaries apart in traces.
+    on_sensor_stalled = on_sensor
 
     # -- splitting ----------------------------------------------------------
 
-    def visible_key(self, pos: int) -> tuple:
+    def visible_key(self, lane: int) -> tuple:
         """The pipeline-visible tuple partitioning lanes into cohorts."""
+        policy = self.policies[lane]
+        view = self.views[lane]
         return (
-            bool(self.stalled[pos]),
-            int(self.slowdown[pos]),
-            float(self.power_scale[pos]),
-            self.sedated[pos].tobytes(),
-            self.throttle[pos].tobytes(),
+            policy.global_stall,
+            policy.slowdown,
+            policy.power_scale,
+            tuple(view.sedated),
+            tuple(view.throttle),
         )
 
-    def take(self, indices: np.ndarray) -> "LaneDTM":
-        """New bank carrying the selected lanes' rows (copies throughout)."""
+    def take(self, indices: np.ndarray, core, bank) -> "LaneDTM":
+        """New bank for the selected lanes, riding ``core`` and ``bank``.
+
+        Policies and views move by reference, like the
+        :class:`~repro.sim.soa.LaneRngBank` streams: a lane lives in
+        exactly one cohort, so its policy keeps one history across splits.
+        """
         clone = object.__new__(LaneDTM)
-        for name in _ARRAY_FIELDS:
-            setattr(clone, name, getattr(self, name)[indices])
-        clone.sedated_for = [
-            [set(members) for members in self.sedated_for[int(index)]]
-            for index in indices
-        ]
+        clone.policies = [self.policies[int(index)] for index in indices]
+        clone.views = [self.views[int(index)] for index in indices]
+        clone.low = self.low[indices]
+        clone.high = self.high[indices]
+        for row, view in enumerate(clone.views):
+            view.bind(core, bank, row)
         return clone
 
 
@@ -554,26 +309,24 @@ class Cohort:
         return len(self.lanes)
 
     def adopt_visible(self) -> None:
-        """Make the cohort (and its pipeline) match the bank's visible rows.
+        """Make the cohort (and its pipeline) match its lanes' visible state.
 
         Callable only when every lane agrees (post-partition invariant), so
-        row 0 speaks for the cohort.  Thread flags are applied through the
+        lane 0 speaks for the cohort.  Thread flags are applied through the
         core's own setters, exactly as the scalar controller would.
         """
-        dtm = self.dtm
-        self.stalled = bool(dtm.stalled[0])
-        self.slowdown = int(dtm.slowdown[0])
-        self.power_scale = float(dtm.power_scale[0])
+        stalled, slowdown, power_scale, sedated, throttle = (
+            self.dtm.visible_key(0)
+        )
+        self.stalled = stalled
+        self.slowdown = slowdown
+        self.power_scale = power_scale
         core = self.core
-        sed_row = dtm.sedated[0]
-        throttle_row = dtm.throttle[0]
         for tid, thread in enumerate(core.threads):
-            wanted = bool(sed_row[tid])
-            if thread.sedated != wanted:
-                core.set_sedated(tid, wanted)
-            modulus = int(throttle_row[tid])
-            if thread.throttle_modulus != modulus:
-                core.set_throttled(tid, modulus)
+            if thread.sedated != sedated[tid]:
+                core.set_sedated(tid, sedated[tid])
+            if thread.throttle_modulus != throttle[tid]:
+                core.set_throttled(tid, throttle[tid])
 
     def split(self, partitions: list[list[int]]) -> list["Cohort"]:
         """Divide into one child per partition of lane positions.
@@ -614,7 +367,7 @@ class Cohort:
         child.monitor = self.monitor.take(indices, child.core)
         child.detector = self.detector.take(indices)
         child.rng = self.rng.take(indices)
-        child.dtm = self.dtm.take(indices)
+        child.dtm = self.dtm.take(indices, child.core, child.monitor.bank)
         child.group_keys = [self.group_keys[position] for position in positions]
         child.groups = {}
         for key in dict.fromkeys(child.group_keys):

@@ -48,20 +48,116 @@ def build_pipeline(config: SimulationConfig, workloads: list[str]) -> SMTCore:
     sound.
     """
     machine = config.machine
-    if len(workloads) != machine.num_threads:
+    return _prefilled_core(
+        machine,
+        [
+            make_source(name, tid, machine, config.thermal, seed=config.seed)
+            for tid, name in enumerate(workloads)
+        ],
+    )
+
+
+def _prefilled_core(machine, sources: list) -> SMTCore:
+    """An SMT core over one source per thread, caches prefilled by each."""
+    if len(sources) != machine.num_threads:
         raise SimulationError(
-            f"need {machine.num_threads} workloads, got {len(workloads)}"
+            f"need {machine.num_threads} workloads, got {len(sources)}"
         )
-    sources = [
-        make_source(name, tid, machine, config.thermal, seed=config.seed)
-        for tid, name in enumerate(workloads)
-    ]
     core = SMTCore(machine, sources)
     for source in sources:
         prefill = getattr(source, "prefill", None)
         if prefill is not None:
             prefill(core.hierarchy)
     return core
+
+
+def build_policy(
+    config: SimulationConfig,
+    core,
+    monitor,
+    model: RCThermalModel,
+    report_log: OSReportLog | None = None,
+) -> DTMPolicy:
+    """The DTM policy ``config`` names, wired to its core and monitor.
+
+    ``core`` and ``monitor`` are what a sedation controller actuates and
+    reads: the real pipeline and :class:`UsageMonitor` for a scalar run,
+    one lane's view of its cohort for the batch kernel
+    (:class:`repro.sim.cohort.LaneView`).  ``model`` supplies the
+    expected cooling time when the sedation config leaves it unset.
+    """
+    thermal = config.thermal
+    name = config.dtm_policy
+    if name == "ideal":
+        return DTMPolicy()
+    if name == "stop_and_go":
+        return StopAndGo(thermal.emergency_k, thermal.normal_operating_k)
+    if name == "dvfs":
+        return DVFS(thermal.emergency_k, thermal.normal_operating_k)
+    if name == "ttdfs":
+        return TTDFS(tracking_threshold_k=thermal.emergency_k - TRACKING_OFFSET_K)
+    if name == "fetch_gating":
+        return FetchGating(thermal.emergency_k, thermal.normal_operating_k)
+    if name == "sedation":
+        cooling = config.sedation.expected_cooling_cycles
+        if cooling is None:
+            cooling = thermal.cycles_from_seconds(
+                model.expected_cooling_seconds()
+            )
+        controller = SelectiveSedationController(
+            core,
+            monitor,
+            config.sedation,
+            expected_cooling_cycles=cooling,
+            report_log=report_log,
+        )
+        return SedationPolicy(
+            controller, thermal.emergency_k, thermal.normal_operating_k
+        )
+    raise SimulationError(f"unknown DTM policy {name!r}")
+
+
+def action_counts(policy: DTMPolicy) -> tuple[int, int, int]:
+    """``(engagements, sedations, safety-net engagements)`` of a policy.
+
+    Engagements of any policy report as ``stall_engagements``; only
+    selective sedation sedates or falls back to its safety net.
+    """
+    if isinstance(policy, SedationPolicy):
+        return (
+            policy.engagements,
+            policy.controller.sedations,
+            policy.safety_net_engagements,
+        )
+    return policy.engagements, 0, 0
+
+
+def run_span(core: SMTCore, slowdown: int, span: int) -> None:
+    """Run the pipeline for ``span`` cycles, honoring a DVFS slowdown.
+
+    The scalar run loop and the batch kernel both advance through here,
+    so a throttled span splits into run and skip cycles identically.
+    """
+    if slowdown > 1:
+        active = span // slowdown
+        throttled = span - active
+        if active:
+            core.run_cycles(active)
+        if throttled:
+            core.skip_cycles(throttled)
+        for thread in core.threads:
+            thread.cycles_cooling += throttled
+            if thread.sedated:
+                thread.cycles_sedated += active
+            else:
+                thread.cycles_normal += active
+        return
+    core.run_cycles(span)
+    for thread in core.threads:
+        if thread.sedated:
+            thread.cycles_sedated += span
+        else:
+            thread.cycles_normal += span
 
 
 class Simulator:
@@ -84,20 +180,12 @@ class Simulator:
             self.core = build_pipeline(config, list(workloads))
             self.workload_names = tuple(workloads)
         else:
-            if len(sources) != machine.num_threads:
-                raise SimulationError(
-                    f"need {machine.num_threads} sources, got {len(sources)}"
-                )
+            self.core = _prefilled_core(machine, sources)
             self.workload_names = tuple(
                 workloads
                 if workloads
                 else [type(s).__name__ for s in sources]
             )
-            self.core = SMTCore(machine, sources)
-            for source in sources:
-                prefill = getattr(source, "prefill", None)
-                if prefill is not None:
-                    prefill(self.core.hierarchy)
         self.energy = energy or EnergyModel.default()
         self.thermal = RCThermalModel(config.thermal, floorplan, self.energy)
         self.sensors = SensorBank(
@@ -111,7 +199,9 @@ class Simulator:
         )
         self.monitor = UsageMonitor(self.core, config.sedation)
         self.reports = OSReportLog()
-        self.policy = self._build_policy()
+        self.policy = build_policy(
+            config, self.core, self.monitor, self.thermal, self.reports
+        )
         #: optional observability session (``None`` = zero-overhead default);
         #: the policy, sedation controller, and pipeline all share it
         self.telemetry = telemetry
@@ -142,39 +232,6 @@ class Simulator:
             if telemetry is not None:
                 controller.attach_telemetry(telemetry)
             self.faults = controller
-
-    def _build_policy(self) -> DTMPolicy:
-        thermal = self.config.thermal
-        name = self.config.dtm_policy
-        if name == "ideal":
-            return DTMPolicy()
-        if name == "stop_and_go":
-            return StopAndGo(thermal.emergency_k, thermal.normal_operating_k)
-        if name == "dvfs":
-            return DVFS(thermal.emergency_k, thermal.normal_operating_k)
-        if name == "ttdfs":
-            return TTDFS(
-                tracking_threshold_k=thermal.emergency_k - TRACKING_OFFSET_K
-            )
-        if name == "fetch_gating":
-            return FetchGating(thermal.emergency_k, thermal.normal_operating_k)
-        if name == "sedation":
-            cooling = self.config.sedation.expected_cooling_cycles
-            if cooling is None:
-                cooling = thermal.cycles_from_seconds(
-                    self.thermal.expected_cooling_seconds()
-                )
-            controller = SelectiveSedationController(
-                self.core,
-                self.monitor,
-                self.config.sedation,
-                expected_cooling_cycles=cooling,
-                report_log=self.reports,
-            )
-            return SedationPolicy(
-                controller, thermal.emergency_k, thermal.normal_operating_k
-            )
-        raise SimulationError(f"unknown DTM policy {name!r}")
 
     # -- the run loop ------------------------------------------------------------
 
@@ -244,7 +301,7 @@ class Simulator:
             boundary = min(next_sample, next_sensor, target)
             span = boundary - core.cycle
             if span > 0:
-                self._run_span(span)
+                run_span(core, policy.slowdown, span)
             if core.cycle >= next_sample:
                 fire = True
                 if fault_sampler is not None and not sampler_late_fire:
@@ -292,17 +349,7 @@ class Simulator:
         return self._collect(start, baseline, trace_rows, wall_seconds)
 
     def _snapshot(self) -> dict:
-        policy = self.policy
-        sedations = (
-            policy.controller.sedations
-            if isinstance(policy, SedationPolicy)
-            else 0
-        )
-        safety_nets = (
-            policy.safety_net_engagements
-            if isinstance(policy, SedationPolicy)
-            else 0
-        )
+        engagements, sedations, safety_nets = action_counts(self.policy)
         return {
             "threads": [
                 (t.committed, t.fetched, t.cycles_normal, t.cycles_cooling,
@@ -314,7 +361,7 @@ class Simulator:
             "per_block": list(self.sensors.emergencies_per_block),
             "sedations": sedations,
             "safety_nets": safety_nets,
-            "engagements": policy.engagements,
+            "engagements": engagements,
             "perf": (
                 self.core.perf_idle_skipped,
                 self.core.perf_stall_skipped,
@@ -322,31 +369,6 @@ class Simulator:
                 self.thermal.perf_propagator_builds,
             ),
         }
-
-    def _run_span(self, span: int) -> None:  # repro: twin(run-span)
-        """Run the pipeline for ``span`` cycles, honoring DVFS slowdown."""
-        core = self.core
-        slowdown = self.policy.slowdown
-        if slowdown > 1:
-            active = span // slowdown
-            throttled = span - active
-            if active:
-                core.run_cycles(active)
-            if throttled:
-                core.skip_cycles(throttled)
-            for thread in core.threads:
-                thread.cycles_cooling += throttled
-                if thread.sedated:
-                    thread.cycles_sedated += active
-                else:
-                    thread.cycles_normal += active
-            return
-        core.run_cycles(span)
-        for thread in core.threads:
-            if thread.sedated:
-                thread.cycles_sedated += span
-            else:
-                thread.cycles_normal += span
 
     def _advance_thermal(self, powers: list[float]) -> None:
         cycles = self.core.cycle - self._last_thermal_cycle

@@ -11,14 +11,14 @@ accept **heterogeneous** lanes:
   group and cohort that replays it (see :mod:`repro.pipeline.banks`).  A
   workload appearing in many mixes — ``gcc`` in ``(gcc, swim)`` and
   ``(gcc, mcf)`` lanes — is generated once per seed, not once per mix.
-* :func:`build_streamed_pipeline` — :func:`repro.sim.simulator.build_pipeline`
-  with stream cursors in place of live sources, so forking a pipeline at a
-  cohort split costs O(in-flight uops), not a deep copy of generators.
+* :meth:`StreamBank.cursor` — stream cursors the kernel builds its
+  pipelines on in place of live sources, so forking a pipeline at a cohort
+  split costs O(in-flight uops), not a deep copy of generators.
 * :class:`LaneRngBank` — the vectorized counterpart of the per-lane
   sensor-noise ``random.Random`` streams.  The **RNG-bank contract**: each
   lane owns one scalar ``Random(sensor_noise_seed)`` and draws one Gaussian
-  per block, in block order, at every sensor boundary — byte-identical to
-  :meth:`repro.thermal.sensors.SensorBank.sample` — and the lane's stream
+  per block, in block order, at every sensor boundary — the one draw loop
+  :func:`repro.thermal.sensors.add_sensor_noise` — and the lane's stream
   object travels with the lane across cohort splits, so its draw sequence
   never depends on which cohort the lane currently rides in.
 * :func:`sample_sensors` — the gather of every lane's reported reading
@@ -37,9 +37,9 @@ import random
 import numpy as np
 
 from ..blocks import NUM_BLOCKS
-from ..errors import SimulationError
 from ..pipeline.banks import SharedStream, StreamCursor
 from ..pipeline.smt import SMTCore
+from ..thermal.sensors import add_sensor_noise
 from ..workloads.registry import make_source
 
 
@@ -84,29 +84,6 @@ class StreamBank:
         return sum(stream.generated for stream in self._streams.values())
 
 
-def build_streamed_pipeline(config, workloads, bank: StreamBank) -> SMTCore:
-    """A scalar-equivalent pipeline fed by shared stream cursors.
-
-    Mirrors :func:`repro.sim.simulator.build_pipeline` — same source
-    construction inputs, same prefill of the core's caches — but the core
-    reads replayed columns, so sibling trajectory groups and split-off
-    cohorts share one generation pass per distinct stream.
-    """
-    machine = config.machine
-    if len(workloads) != machine.num_threads:
-        raise SimulationError(
-            f"need {machine.num_threads} workloads, got {len(workloads)}"
-        )
-    sources = [
-        bank.cursor(name, tid, config.seed)
-        for tid, name in enumerate(workloads)
-    ]
-    core = SMTCore(machine, sources)
-    for source in sources:
-        source.prefill(core.hierarchy)
-    return core
-
-
 def release_cursors(core: SMTCore) -> None:
     """Unregister a finished pipeline's cursors so streams can trim."""
     for thread in core.threads:
@@ -140,14 +117,9 @@ class LaneRngBank:
         """Add each noisy lane's per-block Gaussian error to its row."""
         if not self.noisy:
             return
-        sigmas = self.sigmas  # repro: twin(sensor-noise) begin
         for lane, rng in enumerate(self.rngs):
-            sigma = sigmas[lane]
-            if sigma > 0.0:
-                gauss = rng.gauss
-                row = temps[lane]
-                for block in range(NUM_BLOCKS):
-                    row[block] += gauss(0.0, sigma)  # repro: twin(sensor-noise) end
+            if rng is not None:
+                add_sensor_noise(temps[lane], rng, self.sigmas[lane])
 
     def take(self, indices: np.ndarray) -> "LaneRngBank":
         """New bank carrying the selected lanes' streams and sigmas.

@@ -34,6 +34,21 @@ class SensorReading:
         return float(np.max(self.temperatures))
 
 
+def add_sensor_noise(
+    temperatures: np.ndarray, rng: random.Random, sigma: float
+) -> None:
+    """Add one ``rng.gauss(0, sigma)`` draw to each block, in block order.
+
+    The single draw order of every noisy sensor reading, scalar
+    (:class:`SensorBank`) and batched (:class:`repro.sim.soa.LaneRngBank`).
+    The draws stay CPython's: NumPy's Gaussian generator is not
+    bit-compatible with ``Random.gauss``.
+    """
+    gauss = rng.gauss
+    for block in range(NUM_BLOCKS):
+        temperatures[block] += gauss(0.0, sigma)
+
+
 class SensorBank:
     """Per-block sensors with edge-triggered emergency detection.
 
@@ -68,11 +83,8 @@ class SensorBank:
     def sample(self, cycle: int) -> SensorReading:
         """Read every sensor; record upward crossings of the emergency point."""
         temperatures = self.model.temperatures()
-        if self.noise_k > 0.0:  # repro: twin(sensor-noise) begin
-            gauss = self._rng.gauss
-            noise = self.noise_k
-            for block in range(NUM_BLOCKS):
-                temperatures[block] += gauss(0.0, noise)  # repro: twin(sensor-noise) end
+        if self.noise_k > 0.0:
+            add_sensor_noise(temperatures, self._rng, self.noise_k)
         if self.fault_injector is not None:
             self.fault_injector.apply(cycle, temperatures)
         crossings: list[int] = []
