@@ -17,7 +17,9 @@ budget.  The plain path contains no telemetry code at all (only
 ``None`` checks), so this bounds what observability costs when *on* and
 documents that it costs nothing when off.  The comparison is paired
 per round (each flavor against the same round's plain run) to keep the
-ratios out of wall-clock noise.
+ratios out of wall-clock noise, and the guard reads the median paired
+ratio over the rounds, unfloored: a flavor that is faster than plain
+reports a negative overhead rather than zero.
 
 The sink comparison also records bytes-per-run and events/second for
 both on-disk formats and asserts the columnar acceptance gate from
@@ -36,6 +38,7 @@ Run directly (``python benchmarks/perf_throughput.py``) or via pytest.
 from __future__ import annotations
 
 import json
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -60,8 +63,9 @@ QUANTUM = 125_000
 #: cost on the attack pair (the event-heaviest scenario).
 OVERHEAD_TOLERANCE = 0.03
 
-#: Runs per side of the overhead comparison (best-of-N wall time).
-OVERHEAD_REPEATS = 3
+#: Interleaved rounds of the overhead comparison; the guard takes the
+#: median paired ratio over them.
+OVERHEAD_REPEATS = 5
 
 #: The docs/telemetry.md acceptance gate: the canonical attack log in
 #: columnar form must be at most this fraction of its JSONL size.
@@ -108,20 +112,19 @@ def measure(
 
 
 def measure_telemetry_overhead() -> dict:
-    """Best-of-N attack-pair throughput: plain vs session vs each sink.
+    """Median paired attack-pair throughput: plain vs session vs each sink.
 
     The comparison is *paired*: each round runs plain, bare session,
     JSONL sink, columnar sink back to back and computes each flavor's
     throughput ratio against that same round's plain run; the guard
-    takes the best ratio per flavor across rounds.  Unpaired best-of-N
-    is not enough here — wall-clock noise between rounds routinely
-    exceeds the 3 % budget, while within a round the four runs see the
-    same machine.  A *systematic* cost still fails: if a flavor is
-    genuinely slower, it is slower in every round and no round yields a
-    clean ratio.  The sink runs also record on-disk bytes, so the
-    payload documents both what recording costs in time and what it
-    costs in space (and the columnar:JSONL size ratio the format must
-    hold).
+    takes the median ratio per flavor across rounds, with no floor.
+    Unpaired comparisons are not enough here — wall-clock noise between
+    rounds routinely exceeds the 3 % budget, while within a round the
+    four runs see the same machine — and a best-of-N ratio leans toward
+    passing.  The median still ignores a minority of noisy rounds.  The
+    sink runs also record on-disk bytes, so the payload documents both
+    what recording costs in time and what it costs in space (and the
+    columnar:JSONL size ratio the format must hold).
     """
     with tempfile.TemporaryDirectory() as tmp:
         jsonl_path = Path(tmp) / "events.jsonl"
@@ -131,32 +134,37 @@ def measure_telemetry_overhead() -> dict:
             "jsonl": {"sink": jsonl_path},
             "columnar": {"sink": columnar_path},
         }
-        plain = 0.0
-        best_ratio: dict[str, float] = dict.fromkeys(flavors, 0.0)
-        best_rate: dict[str, float] = dict.fromkeys(flavors, 0.0)
+        plain: list[float] = []
+        ratios: dict[str, list[float]] = {name: [] for name in flavors}
+        rates: dict[str, list[float]] = {name: [] for name in flavors}
         first: dict[str, dict] = {}
         for _ in range(OVERHEAD_REPEATS):
             round_plain = measure(["gzip", "variant2"], "sedation")[
                 "cycles_per_second"
             ]
-            plain = max(plain, round_plain)
+            plain.append(round_plain)
             for name, kwargs in flavors.items():
                 row = measure(["gzip", "variant2"], "sedation", **kwargs)
                 rate = row["cycles_per_second"]
-                best_ratio[name] = max(best_ratio[name], rate / round_plain)
-                best_rate[name] = max(best_rate[name], rate)
+                ratios[name].append(rate / round_plain)
+                rates[name].append(rate)
                 first.setdefault(name, row)
         jsonl_bytes = jsonl_path.stat().st_size
         columnar_bytes = columnar_path.stat().st_size
 
     def overhead(name: str) -> float:
-        return round(max(0.0, 1.0 - best_ratio[name]), 4)
+        return round(1.0 - statistics.median(ratios[name]), 4)
 
     return {
-        "plain_cycles_per_second": plain,
-        "instrumented_cycles_per_second": best_rate["session"],
-        "jsonl_sink_cycles_per_second": best_rate["jsonl"],
-        "columnar_sink_cycles_per_second": best_rate["columnar"],
+        "rounds": OVERHEAD_REPEATS,
+        "plain_cycles_per_second": statistics.median(plain),
+        "instrumented_cycles_per_second": statistics.median(rates["session"]),
+        "jsonl_sink_cycles_per_second": statistics.median(rates["jsonl"]),
+        "columnar_sink_cycles_per_second": statistics.median(rates["columnar"]),
+        "paired_ratios": {
+            name: [round(ratio, 4) for ratio in values]
+            for name, values in ratios.items()
+        },
         "events_per_run": first["session"]["telemetry_events"],
         "events_per_second": first["jsonl"]["events_per_second"],
         "jsonl_bytes_per_run": jsonl_bytes,

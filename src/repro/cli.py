@@ -59,6 +59,7 @@ from .telemetry import (
     iter_filtered,
     read_columnar,
     read_events,
+    stream_narrative,
     trace_rows,
 )
 from .thermal import RCThermalModel
@@ -256,6 +257,8 @@ def cmd_attack(args) -> int:
     if args.batch:
         for line in batch_narrative(RUNNER_METRICS.counters):
             print(f"batch tier: {line}")
+    for line in stream_narrative(RUNNER_METRICS.counters):
+        print(f"stream reuse: {line}")
     return 0
 
 
@@ -514,6 +517,8 @@ def cmd_campaign(args) -> int:
         )
     if len(failures) > 5:
         print(f"  ... {len(failures) - 5} more")
+    for line in stream_narrative(RUNNER_METRICS.counters):
+        print(f"stream reuse: {line}")
     if args.canonical:
         print(results_to_canonical_json(results))
     return 1 if failures else 0

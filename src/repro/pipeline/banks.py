@@ -26,10 +26,18 @@ cursor reproduces verbatim — including the peek-at-halt case, where the
 scalar ``ProgramSource`` reports the halt instruction's pc from ``peek_pc``
 *before* ``next_uop`` returns ``None`` (the core I-cache-accesses that pc;
 dropping it would skew access counts).
+
+:class:`StreamBank` is the registry of streams a process can reuse, keyed
+by the full stream identity (:func:`stream_key`).  The batch kernel builds
+one per call and trims behind its cohorts; the serial tier and each pool
+worker keep one across the specs they run, so a spec whose stream another
+spec of the same work list also needs replays rows instead of regenerating
+them.
 """
 
 from __future__ import annotations
 
+from ..workloads.registry import make_source
 from .uop import Uop
 
 #: Rows generated per refill; amortizes the ensure() call overhead without
@@ -39,6 +47,12 @@ _CHUNK = 4096
 #: Keep at least this many dead rows before compacting, so trims are O(1)
 #: amortized instead of O(rows) per call.
 _TRIM_SLACK = 8192
+
+#: Rows a reusing bank retains between runs.  A row costs ~230 B (CPython
+#: 3.11, x86-64), so this caps a process's retained streams near 140 MB —
+#: room for the heat-stroke pair's two streams at the 4000x time scale.
+#: Whole streams are evicted, least recently used first.
+RETAINED_ROWS = 600_000
 
 
 class SharedStream:
@@ -205,3 +219,136 @@ class StreamCursor:
             self.stream.cursors.remove(self)
         except ValueError:
             pass
+
+
+def release_cursors(core) -> None:
+    """Unregister a finished pipeline's cursors so streams can trim."""
+    for thread in core.threads:
+        release = getattr(thread.source, "release", None)
+        if release is not None:
+            release()
+
+
+def stream_key(name: str, thread_id: int, config) -> tuple:
+    """The full identity of one thread's uop stream under ``config``.
+
+    ``build_pipeline`` guarantees a stream is a pure function of these
+    inputs: workload, hardware context, seed, machine, and the thermal time
+    base (``time_scale``/``frequency_hz``, which the malicious variants
+    convert their burst lengths through).
+    """
+    thermal = config.thermal
+    return (
+        name,
+        thread_id,
+        config.seed,
+        config.machine,
+        thermal.time_scale,
+        thermal.frequency_hz,
+    )
+
+
+class StreamBank:
+    """Shared uop streams a process can reuse, keyed by :func:`stream_key`.
+
+    Sources are built through the real scalar
+    :func:`~repro.workloads.registry.make_source`, so generation replays
+    the exact crc32-salted RNG streams and executor steps of a live run.
+
+    Two ways to use a bank:
+
+    * the lock-step batch kernel takes a :meth:`cursor` per root pipeline
+      and trims behind finished cohorts (:meth:`trim`), within one call;
+    * the serial tier and each pool worker keep one bank across the specs
+      they run.  :meth:`source` hands out a cursor for the keys listed in
+      ``reusable`` and a live source for every other, and :meth:`release`
+      ends a run: it unregisters the run's cursors, counts the rows they
+      replayed, and evicts whole streams, least recently used first, until
+      at most :data:`RETAINED_ROWS` rows remain.  Such a bank never trims:
+      a later spec may need a longer prefix, and generation resumes from
+      the live source each stream still holds.
+
+    A bank is confined to one thread at a time.  A run abandoned by a
+    watchdog may still be writing to its bank, so callers replace the bank
+    after any failed attempt.
+    """
+
+    def __init__(self, reusable: frozenset = frozenset()) -> None:
+        #: stream keys this bank serves from shared streams via source()
+        self.reusable = reusable
+        #: insertion order is recency order: least recently used first
+        self._streams: dict[tuple, SharedStream] = {}
+        #: rows each open cursor could replay: the stream's length when
+        #: the cursor was handed out
+        self._open: dict[StreamCursor, int] = {}
+        self._evicted_generated = 0
+        self.rows_replayed = 0
+        self._taken = (0, 0)
+
+    def cursor(self, name: str, tid: int, config) -> StreamCursor:
+        """A fresh cursor at position 0 of the ``(name, tid, config)`` stream."""
+        key = stream_key(name, tid, config)
+        stream = self._streams.pop(key, None)
+        if stream is None:
+            stream = SharedStream(
+                make_source(
+                    name, tid, config.machine, config.thermal, seed=config.seed
+                )
+            )
+        self._streams[key] = stream
+        return StreamCursor(stream, tid)
+
+    def source(self, name: str, tid: int, config):
+        """A cursor if the stream is reusable here, else a live source."""
+        if stream_key(name, tid, config) not in self.reusable:
+            return make_source(
+                name, tid, config.machine, config.thermal, seed=config.seed
+            )
+        cursor = self.cursor(name, tid, config)
+        stream = cursor.stream
+        self._open[cursor] = stream.base + len(stream.rows)
+        return cursor
+
+    def release(self, core) -> None:
+        """End ``core``'s run: free its cursors, book replays, evict."""
+        for thread in core.threads:
+            source = thread.source
+            if isinstance(source, StreamCursor) and source in self._open:
+                available = self._open.pop(source)
+                self.rows_replayed += min(source.index, available)
+        release_cursors(core)
+        retained = self.rows_retained
+        for key, stream in list(self._streams.items()):
+            if retained <= RETAINED_ROWS:
+                break
+            if stream.cursors:
+                continue
+            retained -= len(stream.rows)
+            self._evicted_generated += stream.generated
+            del self._streams[key]
+
+    def trim(self) -> None:
+        """Compact every stream behind its slowest live cursor."""
+        for stream in self._streams.values():
+            stream.trim()
+
+    def take_counts(self) -> tuple[int, int]:
+        """``(rows generated, rows replayed)`` since the previous call."""
+        now = (self.rows_generated, self.rows_replayed)
+        delta = (now[0] - self._taken[0], now[1] - self._taken[1])
+        self._taken = now
+        return delta
+
+    @property
+    def stream_count(self) -> int:
+        return len(self._streams)
+
+    @property
+    def rows_generated(self) -> int:
+        return self._evicted_generated + sum(
+            stream.generated for stream in self._streams.values()
+        )
+
+    @property
+    def rows_retained(self) -> int:
+        return sum(len(stream.rows) for stream in self._streams.values())

@@ -14,8 +14,8 @@ step at the shared sample/sensor boundaries, next to one scalar DTM
 policy object per lane (:class:`~repro.sim.cohort.LaneDTM`).
 Heterogeneous lanes (mixed workload pairs × mixed seeds) therefore batch
 in a single kernel call: one cohort tree per trajectory, one shared
-worklist, and one generated uop stream per distinct ``(workload, thread,
-seed)`` triple across all of them (:mod:`repro.sim.soa`).
+worklist, and one generated uop stream per distinct stream identity across
+all of them (:class:`~repro.pipeline.banks.StreamBank`).
 
 The contract is the fast path's: results **byte-identical** to the scalar
 :class:`~repro.sim.simulator.Simulator` (same RunResult JSON, same cache
@@ -69,12 +69,13 @@ from ..config import SimulationConfig
 from ..core.usage import BatchUsageMonitor
 from ..errors import SimulationError
 from ..perf import PerfCounters
+from ..pipeline.banks import StreamBank, release_cursors
 from ..power import EnergyModel, PowerAccountant
 from ..thermal import RCThermalModel
 from ..thermal.sensors import BatchCrossingDetector
 from .cohort import Cohort, LaneDTM, LaneView, NetworkGroup, network_key
 from .simulator import _prefilled_core, action_counts, build_policy, run_span
-from .soa import LaneRngBank, StreamBank, release_cursors, sample_sensors
+from .soa import LaneRngBank, sample_sensors
 from .stats import RunResult, ThreadStats
 
 #: Batch-compatibility key schema.  Bump when the set of lane-shared inputs
@@ -195,7 +196,7 @@ def simulate_lockstep(
         by_trajectory.setdefault(trajectory_key(spec), []).append(index)
 
     energy = EnergyModel.default()
-    streams = StreamBank(config0.machine, config0.thermal)
+    streams = StreamBank()
     sample_interval = config0.sedation.sample_interval
     sensor_interval = config0.thermal.sensor_interval
     seconds_per_cycle = config0.thermal.seconds_per_cycle
@@ -273,7 +274,7 @@ def _build_root(
     core = _prefilled_core(
         config0.machine,
         [
-            streams.cursor(name, tid, config0.seed)
+            streams.cursor(name, tid, config0)
             for tid, name in enumerate(workload_names)
         ],
     )

@@ -56,6 +56,7 @@ from pathlib import Path
 
 from ..config import SimulationConfig
 from ..errors import FaultError, SimulationError
+from ..pipeline.banks import StreamBank, stream_key
 from ..telemetry.events import EventType
 from ..telemetry.metrics import MetricsRegistry
 from .batch import batch_fingerprint, simulate_lockstep, trajectory_key
@@ -81,9 +82,11 @@ JOBS_ENV = "REPRO_BENCH_JOBS"
 BACKOFF_BASE_S = 0.05
 
 #: Process-wide counters for the batch runner and the cache: quarantined
-#: entries, retries, timeouts, pool breaks, and final failures.  A process
-#: concern, not a simulation result, so it lives here rather than on any
-#: per-run telemetry session.
+#: entries, retries, timeouts, pool breaks, final failures, and the µop
+#: stream rows the serial and pool tiers generated into or replayed from a
+#: shared stream (``runner.stream_rows_generated``/``_replayed``).  A
+#: process concern, not a simulation result, so it lives here rather than
+#: on any per-run telemetry session.
 RUNNER_METRICS = MetricsRegistry()
 
 
@@ -192,15 +195,64 @@ def spec_fingerprint(spec: RunSpec | CampaignSpec) -> str:
 #: executed in-process — a chaos plan must never take down the caller.
 _IN_WORKER = False
 
+#: A pool worker's stream bank.  A worker lives for one pool round, and so
+#: does its bank: the 2nd…Nth specs it runs on a trajectory replay rows.
+_WORKER_BANK: StreamBank | None = None
+
 
 def _mark_worker() -> None:
     """ProcessPoolExecutor initializer: flag this process as a worker."""
-    global _IN_WORKER
+    global _IN_WORKER, _WORKER_BANK
     _IN_WORKER = True
+    _WORKER_BANK = StreamBank()
 
 
-def _execute(spec: RunSpec | CampaignSpec) -> RunResult | CampaignResult:
-    """Run one spec.  Module-level so ProcessPoolExecutor can pickle it."""
+def _repeated_stream_keys(
+    work: list[tuple[str, RunSpec | CampaignSpec]],
+) -> frozenset:
+    """Stream keys that two or more run specs of ``work`` need.
+
+    Only these streams are generated into a bank; every other spec keeps
+    live sources, because a stream replayed by no one costs more to
+    record than to generate.  Campaign specs always run live.
+    """
+    seen: set = set()
+    repeated: set = set()
+    for _, spec in work:
+        if not isinstance(spec, RunSpec):
+            continue
+        for tid, name in enumerate(spec.workloads):
+            key = stream_key(name, tid, spec.config)
+            if key in seen:
+                repeated.add(key)
+            seen.add(key)
+    return frozenset(repeated)
+
+
+def _tally(counts: list[int], bank: StreamBank) -> None:
+    """Add ``bank``'s rows generated/replayed since last asked to ``counts``."""
+    generated, replayed = bank.take_counts()
+    counts[0] += generated
+    counts[1] += replayed
+
+
+def _book_stream_rows(counts: tuple[int, int]) -> None:
+    """Add ``(rows generated, rows replayed)`` to :data:`RUNNER_METRICS`."""
+    generated, replayed = counts
+    if generated:
+        RUNNER_METRICS.inc("runner.stream_rows_generated", generated)
+    if replayed:
+        RUNNER_METRICS.inc("runner.stream_rows_replayed", replayed)
+
+
+def _execute(
+    spec: RunSpec | CampaignSpec, bank: StreamBank | None = None
+) -> RunResult | CampaignResult:
+    """Run one spec.  Module-level so ProcessPoolExecutor can pickle it.
+
+    A run spec builds on ``bank`` (see
+    :func:`~repro.sim.simulator.build_pipeline`); campaigns run live.
+    """
     if isinstance(spec, CampaignSpec):
         return run_campaign(
             spec.config,
@@ -219,6 +271,7 @@ def _execute(spec: RunSpec | CampaignSpec) -> RunResult | CampaignResult:
         quantum_cycles=spec.quantum_cycles,
         trace=spec.trace,
         telemetry=session,
+        bank=bank,
     )
 
 
@@ -230,7 +283,7 @@ _INTERRUPTED_ONCE: set[str] = set()
 
 
 def _execute_attempt(
-    spec: RunSpec | CampaignSpec, attempt: int
+    spec: RunSpec | CampaignSpec, attempt: int, bank: StreamBank | None = None
 ) -> RunResult | CampaignResult:
     """Run one spec's attempt number ``attempt``, honoring worker chaos.
 
@@ -259,17 +312,22 @@ def _execute_attempt(
             time.sleep(chaos.hang_seconds)
         if attempt < chaos.fail_attempts:
             raise FaultError(f"injected transient failure (attempt {attempt})")
-    return _execute(spec)
+    return _execute(spec, bank)
 
 
 def _execute_with_watchdog(
-    spec: RunSpec | CampaignSpec, attempt: int, timeout: float
+    spec: RunSpec | CampaignSpec,
+    attempt: int,
+    timeout: float,
+    bank: StreamBank | None = None,
 ) -> RunResult | CampaignResult:
     """One attempt under a per-spec wall-clock timeout.
 
     The attempt runs in a daemon thread; if it outlives ``timeout`` the
     caller moves on (the thread is abandoned — it holds no locks and its
-    simulator state is garbage the moment we stop waiting).  Used serially
+    simulator state is garbage the moment we stop waiting).  An abandoned
+    thread may still run its simulation later, writing to ``bank``, so
+    callers give the next attempt a fresh bank.  Used serially
     (so the BrokenProcessPool fallback cannot hang forever on a spec that
     is itself a hang) and *inside* pool workers running a chunk of specs
     (so one hung spec cannot eat its chunk-mates' time budget).
@@ -278,7 +336,7 @@ def _execute_with_watchdog(
 
     def _target() -> None:
         try:
-            box.append(("ok", _execute_attempt(spec, attempt)))
+            box.append(("ok", _execute_attempt(spec, attempt, bank)))
         except BaseException as error:  # noqa: BLE001 - re-raised below
             box.append(("error", error))
 
@@ -294,32 +352,49 @@ def _execute_with_watchdog(
 
 
 def _execute_chunk(
-    items: list[tuple[RunSpec | CampaignSpec, int]], timeout: float | None
-) -> list[tuple[str, object]]:
+    items: list[tuple[RunSpec | CampaignSpec, int]],
+    timeout: float | None,
+    reusable: frozenset = frozenset(),
+) -> tuple[list[tuple[str, object]], tuple[int, int]]:
     """Pool worker entry point: run one chunk of (spec, attempt) pairs.
 
-    Returns one ``(status, value)`` slot per item, index-aligned with the
-    input: ``("ok", result)``, ``("timeout", message)`` or
-    ``("error", message)``.  Each spec gets its *own* ``timeout`` via the
-    in-worker watchdog, preserving per-spec attempt semantics even though
-    the pool only sees one future per chunk.  An injected worker crash
-    still hard-kills the process (the chunk's completed slots die with it
-    and its specs re-run serially — the pool-break path).
+    Returns ``(slots, stream_rows)``.  ``slots`` holds one
+    ``(status, value)`` per item, index-aligned with the input:
+    ``("ok", result)``, ``("timeout", message)`` or ``("error", message)``.
+    Each spec gets its *own* ``timeout`` via the in-worker watchdog,
+    preserving per-spec attempt semantics even though the pool only sees
+    one future per chunk.  An injected worker crash still hard-kills the
+    process (the chunk's completed slots die with it and its specs re-run
+    serially — the pool-break path).
+
+    Specs run on the worker's stream bank, which serves the ``reusable``
+    stream keys the parent found repeated in the round's work list;
+    ``stream_rows`` is the ``(generated, replayed)`` row count this chunk
+    added, for the parent to book.  A failed attempt retires the bank.
     """
+    global _WORKER_BANK
+    bank = _WORKER_BANK if _WORKER_BANK is not None else StreamBank()
+    bank.reusable = reusable
+    counts = [0, 0]
     results: list[tuple[str, object]] = []
     for spec, attempt in items:
         try:
             if timeout is not None:
-                value = _execute_with_watchdog(spec, attempt, timeout)
+                value = _execute_with_watchdog(spec, attempt, timeout, bank)
             else:
-                value = _execute_attempt(spec, attempt)
+                value = _execute_attempt(spec, attempt, bank)
         except TimeoutError as error:
             results.append(("timeout", str(error)))
         except Exception as error:
             results.append(("error", f"{type(error).__name__}: {error}"))
         else:
             results.append(("ok", value))
-    return results
+            continue
+        _tally(counts, bank)
+        bank = StreamBank(reusable)
+    _tally(counts, bank)
+    _WORKER_BANK = bank
+    return results, (counts[0], counts[1])
 
 
 def _backoff_seconds(key: str, attempt: int) -> float:
@@ -523,33 +598,42 @@ def _run_serial(
     retries: int,
     outcomes: dict[str, RunResult | CampaignResult | RunFailure],
 ) -> None:
-    """Execute specs in-process with the full retry/timeout discipline."""
-    for key, spec in work:
-        while key not in outcomes:
-            attempt = attempts[key]
-            try:
-                if timeout is not None:
-                    outcomes[key] = _execute_with_watchdog(
-                        spec, attempt, timeout
-                    )
+    """Execute specs in-process with the full retry/timeout discipline.
+
+    One stream bank serves the call (see :func:`_repeated_stream_keys`); a
+    failed attempt retires it, so a thread the watchdog abandoned never
+    shares a bank with the attempts that follow.
+    """
+    reusable = _repeated_stream_keys(work)
+    bank = StreamBank(reusable)
+    try:
+        for key, spec in work:
+            while key not in outcomes:
+                attempt = attempts[key]
+                try:
+                    if timeout is not None:
+                        outcomes[key] = _execute_with_watchdog(
+                            spec, attempt, timeout, bank
+                        )
+                    else:
+                        outcomes[key] = _execute_attempt(spec, attempt, bank)
+                except TimeoutError as error:
+                    kind, message = "timeout", str(error)
+                except Exception as error:
+                    kind, message = "error", f"{type(error).__name__}: {error}"
                 else:
-                    outcomes[key] = _execute_attempt(spec, attempt)
-            except TimeoutError as error:
+                    continue
+                _book_stream_rows(bank.take_counts())
+                bank = StreamBank(reusable)
                 retry_list: list[tuple[str, RunSpec | CampaignSpec]] = []
                 _note_failed_attempt(
-                    key, spec, "timeout", str(error), attempts, retries,
-                    outcomes, retry_list,
+                    key, spec, kind, message, attempts, retries, outcomes,
+                    retry_list,
                 )
                 if retry_list:
                     time.sleep(_backoff_seconds(key, attempts[key]))
-            except Exception as error:
-                retry_list = []
-                _note_failed_attempt(
-                    key, spec, "error", f"{type(error).__name__}: {error}",
-                    attempts, retries, outcomes, retry_list,
-                )
-                if retry_list:
-                    time.sleep(_backoff_seconds(key, attempts[key]))
+    finally:
+        _book_stream_rows(bank.take_counts())
 
 
 #: Extra wall seconds granted to a chunk future beyond the sum of its
@@ -619,13 +703,14 @@ def _drain_interrupted_pool(
         if future.cancel():
             continue
         try:
-            slots = future.result(timeout=grace)
+            slots, stream_rows = future.result(timeout=grace)
         except KeyboardInterrupt:
             # A second interrupt aborts the drain: book and get out.
             break
         except BaseException:  # noqa: BLE001 - timeout/crash: stop waiting
             grace = 0.0
             continue
+        _book_stream_rows(stream_rows)
         for (key, _spec), (status, value) in zip(chunk, slots, strict=True):
             if status == "ok" and key not in outcomes:
                 outcomes[key] = value
@@ -667,6 +752,7 @@ def _run_pool(
             max_workers=min(workers, len(remaining)), initializer=_mark_worker
         )
         retry_list: list[tuple[str, RunSpec | CampaignSpec]] = []
+        reusable = _repeated_stream_keys(remaining)
         size = _chunk_size(len(remaining), workers)
         chunks = [
             remaining[start : start + size]
@@ -680,6 +766,7 @@ def _run_pool(
                         _execute_chunk,
                         [(spec, attempts[key]) for key, spec in chunk],
                         timeout,
+                        reusable,
                     ),
                     chunk,
                 )
@@ -694,7 +781,7 @@ def _run_pool(
                     else None
                 )
                 try:
-                    slots = future.result(timeout=outer)
+                    slots, stream_rows = future.result(timeout=outer)
                 except BrokenProcessPool:
                     raise  # handled by the outer except: serial fallback
                 except TimeoutError as error:
@@ -719,6 +806,7 @@ def _run_pool(
                             retries, outcomes, retry_list,
                         )
                 else:
+                    _book_stream_rows(stream_rows)
                     for (key, spec), (status, value) in zip(
                         chunk, slots, strict=True
                     ):

@@ -26,6 +26,7 @@ from ..errors import SimulationError
 from ..faults.injectors import SAMPLE_MISS, FaultController
 from ..perf import PerfCounters
 from ..blocks import INT_RF, NUM_BLOCKS
+from ..pipeline.banks import StreamBank
 from ..pipeline.smt import SMTCore
 from ..pipeline.source import UopSource
 from ..power import EnergyModel, PowerAccountant
@@ -35,7 +36,11 @@ from ..workloads.registry import is_malicious, make_source
 from .stats import RunResult, ThreadStats
 
 
-def build_pipeline(config: SimulationConfig, workloads: list[str]) -> SMTCore:
+def build_pipeline(
+    config: SimulationConfig,
+    workloads: list[str],
+    bank: StreamBank | None = None,
+) -> SMTCore:
     """Construct the SMT core with seeded, prefilled workload sources.
 
     Exactly the pipeline a :class:`Simulator` builds for the same config and
@@ -46,12 +51,18 @@ def build_pipeline(config: SimulationConfig, workloads: list[str]) -> SMTCore:
     ``cycles_from_seconds`` in the malicious-variant sources) influence the
     result; that is what makes pipeline sharing across thermal/DTM variants
     sound.
+
+    With a ``bank``, each thread whose stream the bank lists as reusable
+    replays the bank's shared stream through a cursor instead of driving a
+    live source; the pipeline cannot tell the two apart.
     """
     machine = config.machine
     return _prefilled_core(
         machine,
         [
-            make_source(name, tid, machine, config.thermal, seed=config.seed)
+            bank.source(name, tid, config)
+            if bank is not None
+            else make_source(name, tid, machine, config.thermal, seed=config.seed)
             for tid, name in enumerate(workloads)
         ],
     )
@@ -161,7 +172,12 @@ def run_span(core: SMTCore, slowdown: int, span: int) -> None:
 
 
 class Simulator:
-    """One SMT machine instance under one DTM policy."""
+    """One SMT machine instance under one DTM policy.
+
+    ``bank`` builds the pipeline on a :class:`StreamBank`'s shared streams
+    (see :func:`build_pipeline`); the caller hands the core back with
+    ``bank.release(simulator.core)`` once it stops running quanta.
+    """
 
     def __init__(
         self,
@@ -171,13 +187,14 @@ class Simulator:
         energy: EnergyModel | None = None,
         floorplan: Floorplan | None = None,
         telemetry: TelemetrySession | None = None,
+        bank: StreamBank | None = None,
     ) -> None:
         self.config = config
         machine = config.machine
         if sources is None:
             if workloads is None:
                 raise SimulationError("provide workload names or uop sources")
-            self.core = build_pipeline(config, list(workloads))
+            self.core = build_pipeline(config, list(workloads), bank)
             self.workload_names = tuple(workloads)
         else:
             self.core = _prefilled_core(machine, sources)
@@ -481,7 +498,18 @@ def run_workloads(
     quantum_cycles: int | None = None,
     trace: bool = False,
     telemetry: TelemetrySession | None = None,
+    bank: StreamBank | None = None,
 ) -> RunResult:
-    """One-shot convenience: build a simulator and run one quantum."""
-    simulator = Simulator(config, workloads=workloads, telemetry=telemetry)
-    return simulator.run(quantum_cycles=quantum_cycles, trace=trace)
+    """One-shot convenience: build a simulator and run one quantum.
+
+    With a ``bank`` (see :func:`build_pipeline`), the run's cursors are
+    released back to it when the run ends, failed or not.
+    """
+    simulator = Simulator(
+        config, workloads=workloads, telemetry=telemetry, bank=bank
+    )
+    try:
+        return simulator.run(quantum_cycles=quantum_cycles, trace=trace)
+    finally:
+        if bank is not None:
+            bank.release(simulator.core)

@@ -1,4 +1,4 @@
-"""Heterogeneous-lane SoA support: stream banks, RNG banks, sensor gather.
+"""Heterogeneous-lane SoA support: RNG banks and the sensor gather.
 
 PRs 5–6 batched lanes that shared *everything* the pipeline consumes —
 workloads, machine, and seed — which excluded exactly the sweeps the paper
@@ -6,14 +6,14 @@ runs (every figure varies workload pairs or seeds).  This module carries
 the per-trajectory state that lets :func:`repro.sim.batch.simulate_lockstep`
 accept **heterogeneous** lanes:
 
-* :class:`StreamBank` — one generated uop stream per distinct
-  ``(workload, thread, seed)`` triple, shared across every trajectory
-  group and cohort that replays it (see :mod:`repro.pipeline.banks`).  A
-  workload appearing in many mixes — ``gcc`` in ``(gcc, swim)`` and
-  ``(gcc, mcf)`` lanes — is generated once per seed, not once per mix.
-* :meth:`StreamBank.cursor` — stream cursors the kernel builds its
-  pipelines on in place of live sources, so forking a pipeline at a cohort
-  split costs O(in-flight uops), not a deep copy of generators.
+* :class:`~repro.pipeline.banks.StreamBank` (in the pipeline package,
+  beside the streams it registers) — one generated uop stream per distinct
+  stream identity, shared across every trajectory group and cohort that
+  replays it.  A workload appearing in many mixes — ``gcc`` in
+  ``(gcc, swim)`` and ``(gcc, mcf)`` lanes — is generated once per seed,
+  not once per mix, and the kernel builds its pipelines on the bank's
+  cursors, so forking a pipeline at a cohort split costs O(in-flight uops),
+  not a deep copy of generators.
 * :class:`LaneRngBank` — the vectorized counterpart of the per-lane
   sensor-noise ``random.Random`` streams.  The **RNG-bank contract**: each
   lane owns one scalar ``Random(sensor_noise_seed)`` and draws one Gaussian
@@ -37,59 +37,7 @@ import random
 import numpy as np
 
 from ..blocks import NUM_BLOCKS
-from ..pipeline.banks import SharedStream, StreamCursor
-from ..pipeline.smt import SMTCore
 from ..thermal.sensors import add_sensor_noise
-from ..workloads.registry import make_source
-
-
-class StreamBank:
-    """Shared uop streams for one lock-step batch call.
-
-    Keyed by ``(workload, thread id, seed)`` — the full set of inputs that
-    (for a fixed machine and thermal time base, both batch-fingerprinted)
-    determine a source's output.  Sources are built through the real
-    scalar :func:`~repro.workloads.registry.make_source`, so generation
-    replays the exact crc32-salted RNG streams and executor steps of a
-    scalar run.
-    """
-
-    def __init__(self, machine, thermal) -> None:
-        self.machine = machine
-        self.thermal = thermal
-        self._streams: dict[tuple[str, int, int], SharedStream] = {}
-
-    def cursor(self, name: str, tid: int, seed: int) -> StreamCursor:
-        """A fresh cursor at position 0 of the ``(name, tid, seed)`` stream."""
-        key = (name, tid, seed)
-        stream = self._streams.get(key)
-        if stream is None:
-            stream = SharedStream(
-                make_source(name, tid, self.machine, self.thermal, seed=seed)
-            )
-            self._streams[key] = stream
-        return StreamCursor(stream, tid)
-
-    def trim(self) -> None:
-        """Compact every stream behind its slowest live cursor."""
-        for stream in self._streams.values():
-            stream.trim()
-
-    @property
-    def stream_count(self) -> int:
-        return len(self._streams)
-
-    @property
-    def rows_generated(self) -> int:
-        return sum(stream.generated for stream in self._streams.values())
-
-
-def release_cursors(core: SMTCore) -> None:
-    """Unregister a finished pipeline's cursors so streams can trim."""
-    for thread in core.threads:
-        release = getattr(thread.source, "release", None)
-        if release is not None:
-            release()
 
 
 class LaneRngBank:

@@ -60,6 +60,7 @@ from .summary import (
     ring_narrative,
     sedation_episodes,
     stall_episodes,
+    stream_narrative,
     summarize,
 )
 
@@ -98,6 +99,7 @@ __all__ = [
     "ring_narrative",
     "sedation_episodes",
     "stall_episodes",
+    "stream_narrative",
     "summarize",
     "trace_row",
     "trace_rows",

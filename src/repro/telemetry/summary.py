@@ -238,6 +238,23 @@ def batch_narrative(counters: dict[str, int]) -> list[str]:
     return lines
 
 
+def stream_narrative(counters: dict[str, int]) -> list[str]:
+    """The reuse ratio of the serial and pool tiers' shared µop streams.
+
+    Reads ``runner.stream_rows_generated``/``runner.stream_rows_replayed``
+    from the same counter mapping as :func:`batch_narrative`; empty when no
+    spec of this process ran on a shared stream.
+    """
+    generated = counters.get("runner.stream_rows_generated", 0)
+    replayed = counters.get("runner.stream_rows_replayed", 0)
+    if not generated and not replayed:
+        return []
+    return [
+        f"{replayed / (generated + replayed):.0%} of shared-stream rows "
+        f"replayed ({replayed} replayed, {generated} generated)"
+    ]
+
+
 def durable_narrative(counters: dict[str, int]) -> list[str]:
     """Human-readable lines describing durable-campaign recovery activity.
 
