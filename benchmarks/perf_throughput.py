@@ -17,7 +17,8 @@ budget.  The plain path contains no telemetry code at all (only
 ``None`` checks), so this bounds what observability costs when *on* and
 documents that it costs nothing when off.  The comparison is paired
 per round (each flavor against the same round's plain run) to keep the
-ratios out of wall-clock noise, and the guard reads the median paired
+ratios out of wall-clock noise, the flavor that runs first rotates
+from round to round, and the guard reads the median paired
 ratio over the rounds, unfloored: a flavor that is faster than plain
 reports a negative overhead rather than zero.
 
@@ -115,9 +116,11 @@ def measure_telemetry_overhead() -> dict:
     """Median paired attack-pair throughput: plain vs session vs each sink.
 
     The comparison is *paired*: each round runs plain, bare session,
-    JSONL sink, columnar sink back to back and computes each flavor's
-    throughput ratio against that same round's plain run; the guard
-    takes the median ratio per flavor across rounds, with no floor.
+    JSONL sink, columnar sink back to back — starting one flavor later
+    each round, so the first slot rotates through all four — and
+    computes each flavor's throughput ratio against that same round's
+    plain run; the guard takes the median ratio per flavor across
+    rounds, with no floor.
     Unpaired comparisons are not enough here — wall-clock noise between
     rounds routinely exceeds the 3 % budget, while within a round the
     four runs see the same machine — and a best-of-N ratio leans toward
@@ -134,21 +137,26 @@ def measure_telemetry_overhead() -> dict:
             "jsonl": {"sink": jsonl_path},
             "columnar": {"sink": columnar_path},
         }
+        order = ["plain", *flavors]
         plain: list[float] = []
         ratios: dict[str, list[float]] = {name: [] for name in flavors}
         rates: dict[str, list[float]] = {name: [] for name in flavors}
         first: dict[str, dict] = {}
-        for _ in range(OVERHEAD_REPEATS):
-            round_plain = measure(["gzip", "variant2"], "sedation")[
-                "cycles_per_second"
-            ]
-            plain.append(round_plain)
-            for name, kwargs in flavors.items():
-                row = measure(["gzip", "variant2"], "sedation", **kwargs)
-                rate = row["cycles_per_second"]
-                ratios[name].append(rate / round_plain)
-                rates[name].append(rate)
+        for round_index in range(OVERHEAD_REPEATS):
+            # Rotate which flavor runs first, so no flavor always pays (or
+            # always dodges) the cost of opening a round.
+            shift = round_index % len(order)
+            round_rates: dict[str, float] = {}
+            for name in order[shift:] + order[:shift]:
+                row = measure(
+                    ["gzip", "variant2"], "sedation", **flavors.get(name, {})
+                )
+                round_rates[name] = row["cycles_per_second"]
                 first.setdefault(name, row)
+            plain.append(round_rates["plain"])
+            for name in flavors:
+                ratios[name].append(round_rates[name] / round_rates["plain"])
+                rates[name].append(round_rates[name])
         jsonl_bytes = jsonl_path.stat().st_size
         columnar_bytes = columnar_path.stat().st_size
 

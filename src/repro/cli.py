@@ -407,7 +407,7 @@ def cmd_campaign_summary(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    from .sim.durable import cache_stats, quarantine_entries
+    from .sim.cache import cache_stats, quarantine_entries
 
     stats = cache_stats(args.cache_dir)
     if args.json:

@@ -49,7 +49,7 @@ class FaultError(ReproError):
     """An injected fault fired (worker chaos) or a fault plan misbehaved.
 
     Raised by :class:`repro.faults.plan.WorkerFaultPlan` chaos hooks when a
-    "crash" or transient failure is injected in-process; the batch runner
-    treats it like any other worker exception (retry, then
-    :class:`repro.sim.parallel.RunFailure`).
+    worker crash or transient failure is injected in-process; the batch
+    runner treats it like any other worker exception (retry, then a
+    :class:`repro.sim.parallel.RunFailure` of kind ``"error"``).
     """

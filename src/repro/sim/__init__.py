@@ -1,16 +1,15 @@
 """Simulation driver: co-simulator, experiment harness, and statistics."""
 
 from .batch import batch_fingerprint, simulate_lockstep, trajectory_key
+from .cache import cache_stats, quarantine_entries
 from .campaign import CampaignResult, QuantumRecord, run_campaign
 from .durable import (
     JOURNAL_DIR,
     CampaignJournal,
     CampaignState,
     breaker_family,
-    cache_stats,
     derive_campaign_id,
     list_campaigns,
-    quarantine_entries,
     replay,
     results_to_canonical_json,
     resume_campaign,

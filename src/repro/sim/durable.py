@@ -9,15 +9,18 @@ process-death axis (docs/robustness.md):
 
 * **write-ahead journal** — every campaign lifecycle transition (submit,
   lease, attempt failure, completion, breaker trip, seal) is an
-  append-only record under ``<cache_dir>/journal/<campaign_id>/``,
-  published with the same tmp + ``os.replace`` + fsync discipline as the
-  run cache, keyed by the existing
-  :func:`~repro.sim.parallel.spec_fingerprint`;
+  append-only record under ``<cache_dir>/journal/<campaign_id>/``, keyed
+  by the existing :func:`~repro.sim.parallel.spec_fingerprint`.  Records
+  are published tmp + fsync + ``os.replace`` + directory fsync; the run
+  cache uses the same tmp + ``os.replace`` but skips both fsyncs, so only
+  the journal is durable across a power cut;
 * **checkpoint/resume** — :func:`resume_campaign` replays the journal,
   verifies completed entries against the cache (divergences are
   quarantined and re-run), reclaims leases orphaned by dead or stale
-  pids, and re-dispatches only the unfinished tail through the normal
-  cache → batch → pool tiers.  The merged result list is byte-identical
+  pids, and re-dispatches only the unfinished tail through the same
+  cache → batch → pool tiers as :func:`~repro.sim.parallel.run_many`
+  (its ``_dispatch`` step), publishing events, rollup and errors through
+  its ``_publish`` step.  The merged result list is byte-identical
   to what the uninterrupted campaign would have returned;
 * **supervised graceful shutdown** — :func:`run_durable` installs
   SIGTERM/SIGINT handlers that translate the signal into the runner's
@@ -49,22 +52,26 @@ from pathlib import Path
 
 from ..errors import SimulationError
 from ..telemetry.events import EventType
+from .cache import RUNNER_METRICS, campaign_to_dict, pid_alive
+from .cache import load_entry as _cache_load  # perfbench's tracer counts hits here
 from .campaign import CampaignResult
 from .parallel import (
     DEFAULT_CACHE_DIR,
-    RUNNER_METRICS,
     CampaignSpec,
     RunFailure,
     RunSpec,
-    _cache_load,
-    _campaign_to_dict,
-    _emit_campaign_events,
-    run_many,
+    _book_interrupted,
+    _dispatch,
+    _publish,
     spec_fingerprint,
 )
 from .results import result_to_dict
-from .rollup import ROLLUP_DIR, build_rollup, write_rollup
 from .stats import RunResult
+
+# perfbench/tracer.py's span table patches these names on this module;
+# nothing here calls them.  Drop them with those table rows.
+from .parallel import run_many  # noqa: F401
+from .rollup import build_rollup, write_rollup  # noqa: F401
 
 #: Subdirectory of the run cache that holds campaign journals.
 JOURNAL_DIR = "journal"
@@ -87,7 +94,8 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
     tmp + fsync + ``os.replace`` + directory fsync: after this returns the
     record survives a power cut, and no reader can ever observe a torn
     write.  The directory fsync is best-effort (not every filesystem
-    supports opening a directory), matching the cache's guarantees.
+    supports opening a directory).  The run cache
+    (:mod:`repro.sim.cache`) is atomic the same way but not fsynced.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -110,17 +118,6 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
             os.close(dir_fd)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-def _pid_alive(pid: int) -> bool:
-    """Best-effort liveness probe; unknowable pids count as alive."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True
-    return True
 
 
 def breaker_family(spec: RunSpec | CampaignSpec) -> str:
@@ -449,74 +446,74 @@ def _failure_from_record(record: dict) -> RunFailure:
     )
 
 
+def _breaker_failure(state: CampaignState, key: str) -> RunFailure:
+    """The ``breaker_open`` slot of a spec whose family's breaker is open."""
+    spec = state.specs[key]
+    family = breaker_family(spec)
+    tripped = str(state.breakers.get(family, {}).get("fingerprint"))[:12]
+    return RunFailure(
+        workloads=spec.workloads,
+        fingerprint=key,
+        kind="breaker_open",
+        error=(
+            f"family {family!r} breaker is open (tripped by {tripped}; "
+            "resume with force=True to re-close)"
+        ),
+        attempts=0,
+    )
+
+
 def _drive(
     journal: CampaignJournal,
     state: CampaignState,
     outcomes: dict[str, RunResult | CampaignResult | RunFailure],
     sources: dict[str, str],
     *,
-    directory: Path | None,
+    directory: Path,
     jobs: int | None,
     telemetry,
-) -> bool:
-    """Dispatch every unresolved spec in waves; returns True if drained.
+    raise_on_error: bool,
+) -> list[RunResult | CampaignResult | RunFailure]:
+    """Finish every unresolved spec in waves, seal, and publish.
 
-    Each wave is journaled (lease per spec) and then handed to the normal
-    :func:`~repro.sim.parallel.run_many` tiers with per-wave rollups
-    suppressed — the durable layer publishes one rollup for the whole
-    campaign.  Terminal failures trip their family's breaker open, and
-    open breakers short-circuit later waves of the same family.
+    Per wave, specs of a family whose breaker is open are journaled
+    ``skipped``; the rest are leased and served by the runner's dispatch
+    step (cache, batch, serial or pool tier), and each outcome is
+    journaled.  A terminal failure trips its family's breaker open, which
+    short-circuits later waves of the same family.  An interrupted spec
+    keeps its lease: this pid reclaims it on an in-process resume, a
+    successor once this pid's heartbeat goes stale.  After the last wave
+    the journal is sealed and the whole campaign is published at once —
+    one set of lane events, one rollup, one raise.
     """
     options = state.options
-    timeout = options.get("timeout")
-    retries = int(options.get("retries", 0))
-    batch = bool(options.get("batch", True))
-    wave_size = options.get("wave_size")
     pid = os.getpid()
-
+    lane_info: dict[str, dict] = {}
     supervisor = _DrainSupervisor()
     supervisor.install()
     heartbeat = _HeartbeatThread(journal)
     heartbeat.start()
     interrupted = False
-    lease_ordinal = 0
+    leased = 0
     try:
         pending = [key for key in state.unresolved() if key not in outcomes]
-        waves: list[list[str]] = []
-        if wave_size:
-            waves = [
-                pending[start : start + int(wave_size)]
-                for start in range(0, len(pending), int(wave_size))
-            ]
-        elif pending:
-            waves = [pending]
-        for wave_index, wave in enumerate(waves):
+        size = int(options.get("wave_size") or len(pending) or 1)
+        for wave_index, start in enumerate(range(0, len(pending), size)):
             if supervisor.draining:
                 interrupted = True
                 break
-            dispatch: list[str] = []
-            for key in wave:
+            work: list[tuple[str, RunSpec | CampaignSpec]] = []
+            for key in pending[start : start + size]:
                 spec = state.specs[key]
                 family = breaker_family(spec)
-                breaker = state.breakers.get(family)
-                if breaker is not None:
+                if family in state.breakers:
                     RUNNER_METRICS.inc("runner.breaker_skipped")
                     journal.append(
                         {"type": "skipped", "fingerprint": key,
                          "family": family}
                     )
                     state.skipped[key] = family
-                    outcomes[key] = RunFailure(
-                        workloads=spec.workloads,
-                        fingerprint=key,
-                        kind="breaker_open",
-                        error=(
-                            f"family {family!r} breaker is open "
-                            f"(tripped by {str(breaker.get('fingerprint'))[:12]}; "
-                            "resume with force=True to re-close)"
-                        ),
-                        attempts=0,
-                    )
+                    outcomes[key] = _breaker_failure(state, key)
                     sources[key] = "breaker"
                     continue
                 journal.append(
@@ -527,59 +524,47 @@ def _drive(
                 if telemetry is not None and telemetry.enabled:
                     telemetry.emit(
                         EventType.CAMPAIGN_LEASE,
-                        cycle=lease_ordinal,
+                        cycle=leased,
                         data={"fingerprint": key, "pid": pid,
                               "wave": wave_index},
                     )
-                lease_ordinal += 1
-                dispatch.append(key)
-            if not dispatch:
+                leased += 1
+                work.append((key, spec))
+            if not work:
                 continue
-            wave_results = run_many(
-                [state.specs[key] for key in dispatch],
-                jobs=jobs,
-                cache_dir=directory,
-                cache=directory is not None,
-                timeout=timeout,
-                retries=retries,
-                raise_on_error=False,
-                batch=batch,
-                telemetry=None,
-                rollup=False,
+            wave, wave_sources, wave_info, interrupted = _dispatch(
+                work, directory, jobs=jobs,
+                timeout=options.get("timeout"),
+                retries=int(options.get("retries", 0)),
+                batch=bool(options.get("batch", True)),
             )
-            for key, outcome in zip(dispatch, wave_results, strict=True):
-                spec = state.specs[key]
-                if isinstance(outcome, RunFailure):
-                    if outcome.kind == "interrupted":
-                        # Keep the lease: our own pid reclaims it on the
-                        # in-process resume, a successor reclaims it once
-                        # our heartbeat goes stale.
-                        interrupted = True
-                        outcomes[key] = outcome
-                        sources[key] = "drained"
-                        continue
-                    journal.append(
-                        {"type": "failed", "fingerprint": key,
-                         "kind": outcome.kind, "error": outcome.error,
-                         "attempts": outcome.attempts,
-                         "workloads": list(outcome.workloads)}
-                    )
-                    state.failed[key] = {
-                        "fingerprint": key, "kind": outcome.kind,
-                        "error": outcome.error,
+            sources.update(wave_sources)
+            lane_info.update(wave_info)
+            for key, spec in work:
+                outcome = outcomes[key] = wave[key]
+                if not isinstance(outcome, RunFailure):
+                    journal.append({"type": "completed", "fingerprint": key})
+                    state.completed.add(key)
+                elif outcome.kind == "interrupted":
+                    continue  # the lease stays (see above)
+                else:
+                    record = {
+                        "type": "failed", "fingerprint": key,
+                        "kind": outcome.kind, "error": outcome.error,
                         "attempts": outcome.attempts,
                         "workloads": list(outcome.workloads),
                     }
+                    journal.append(record)
+                    state.failed[key] = record
                     family = breaker_family(spec)
                     if family not in state.breakers:
                         RUNNER_METRICS.inc("runner.breaker_trips")
-                        record = {
+                        state.breakers[family] = {
                             "type": "breaker", "family": family,
                             "state": "open", "fingerprint": key,
                             "attempts": outcome.attempts,
                         }
-                        journal.append(record)
-                        state.breakers[family] = record
+                        journal.append(state.breakers[family])
                         if telemetry is not None and telemetry.enabled:
                             telemetry.emit(
                                 EventType.BREAKER_OPEN,
@@ -588,68 +573,25 @@ def _drive(
                                       "fingerprint": key,
                                       "attempts": outcome.attempts},
                             )
-                    outcomes[key] = outcome
-                    sources[key] = "wave"
-                else:
-                    journal.append({"type": "completed", "fingerprint": key})
-                    state.completed.add(key)
-                    outcomes[key] = outcome
-                    sources[key] = "wave"
                 state.leases.pop(key, None)
             if interrupted:
                 break
     except KeyboardInterrupt:
-        # The signal landed between waves (run_many drains internally and
-        # returns partial results when it can).
+        # The signal landed outside the dispatch step's own drain.
         interrupted = True
     finally:
         heartbeat.stop()
         supervisor.uninstall()
-
     if interrupted:
         RUNNER_METRICS.inc("runner.campaign_drained")
-    return interrupted
 
-
-def _assemble(
-    state: CampaignState,
-    outcomes: dict[str, RunResult | CampaignResult | RunFailure],
-    sources: dict[str, str],
-    attempts_hint: int = 0,
-) -> list[RunResult | CampaignResult | RunFailure]:
-    """Per-manifest-slot results, filling never-dispatched slots."""
-    results: list[RunResult | CampaignResult | RunFailure] = []
-    for key in state.manifest:
-        outcome = outcomes.get(key)
-        if outcome is None:
-            spec = state.specs[key]
-            outcome = RunFailure(
-                workloads=spec.workloads,
-                fingerprint=key,
-                kind="interrupted",
-                error="campaign drained before this spec was dispatched",
-                attempts=attempts_hint,
-            )
-            outcomes[key] = outcome
-            sources.setdefault(key, "drained")
-        results.append(outcome)
-    return results
-
-
-def _finish(
-    journal: CampaignJournal,
-    state: CampaignState,
-    outcomes: dict,
-    sources: dict[str, str],
-    interrupted: bool,
-    *,
-    directory: Path | None,
-    telemetry,
-    raise_on_error: bool,
-) -> list[RunResult | CampaignResult | RunFailure]:
-    """Seal the journal, publish the rollup, emit events, honor errors."""
-    results = _assemble(state, outcomes, sources)
-    failures = [r for r in results if isinstance(r, RunFailure)]
+    # Specs a drain never dispatched get interrupted slots too.
+    _book_interrupted(
+        [(key, state.specs[key]) for key in state.order if key not in outcomes],
+        {},
+        outcomes,
+    )
+    results = [outcomes[key] for key in state.manifest]
     status = "resumable" if interrupted else "complete"
     journal.append(
         {
@@ -659,49 +601,19 @@ def _finish(
             "failed": len(state.failed),
             "skipped": len(state.skipped),
             "interrupted": sum(
-                1 for r in failures if r.kind == "interrupted"
+                1 for r in results
+                if isinstance(r, RunFailure) and r.kind == "interrupted"
             ),
         }
     )
     state.sealed = status
-
-    spec_list = [state.specs[key] for key in state.manifest]
-    if telemetry is not None and telemetry.enabled:
-        _emit_campaign_events(
-            telemetry, spec_list, list(state.manifest), results, sources, {}
-        )
-    if directory is not None and not interrupted and len(state.manifest) >= 2:
-        payload = build_rollup(
-            list(zip(spec_list, state.manifest, results, strict=True))
-        )
-        write_rollup(directory, payload)
-        if telemetry is not None and telemetry.enabled:
-            telemetry.emit(
-                EventType.CAMPAIGN_ROLLUP,
-                cycle=len(spec_list),
-                data={"key": payload["key"], "runs": payload["runs"],
-                      "failures": payload["failures"]},
-            )
-
-    if raise_on_error:
-        if interrupted:
-            raise KeyboardInterrupt(
-                f"campaign {state.campaign_id} drained: sealed resumable "
-                f"({len(state.completed)} completed)"
-            )
-        if failures:
-            detail = "; ".join(
-                f"{'+'.join(f.workloads)}: {f.kind} after {f.attempts} "
-                f"attempt(s) ({f.error})"
-                for f in failures[:3]
-            )
-            more = (
-                f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
-            )
-            raise SimulationError(
-                f"{len(failures)} of {len(state.manifest)} spec(s) failed "
-                f"in campaign {state.campaign_id}: {detail}{more}"
-            )
+    _publish(
+        [state.specs[key] for key in state.manifest],
+        state.manifest, results, sources, lane_info, interrupted,
+        directory=directory, telemetry=telemetry,
+        raise_on_error=raise_on_error,
+        scope=f" in campaign {state.campaign_id}",
+    )
     return results
 
 
@@ -791,15 +703,9 @@ def run_durable(
         }
     )
 
-    outcomes: dict[str, RunResult | CampaignResult | RunFailure] = {}
-    sources: dict[str, str] = {}
-    interrupted = _drive(
-        journal, state, outcomes, sources,
+    return _drive(
+        journal, state, {}, {},
         directory=directory, jobs=jobs, telemetry=telemetry,
-    )
-    return _finish(
-        journal, state, outcomes, sources, interrupted,
-        directory=directory, telemetry=telemetry,
         raise_on_error=raise_on_error,
     )
 
@@ -853,7 +759,7 @@ def resume_campaign(
     for key, holder in list(state.leases.items()):
         if (
             holder != pid
-            and _pid_alive(holder)
+            and pid_alive(holder)
             and journal.heartbeat_fresh(holder, lease_stale_s)
         ):
             raise SimulationError(
@@ -898,18 +804,8 @@ def resume_campaign(
         for key, record in state.failed.items():
             outcomes[key] = _failure_from_record(record)
             sources[key] = "journal"
-        for key, family in state.skipped.items():
-            spec = state.specs[key]
-            outcomes[key] = RunFailure(
-                workloads=spec.workloads,
-                fingerprint=key,
-                kind="breaker_open",
-                error=(
-                    f"family {family!r} breaker is open "
-                    "(resume with force=True to re-close)"
-                ),
-                attempts=0,
-            )
+        for key in state.skipped:
+            outcomes[key] = _breaker_failure(state, key)
             sources[key] = "breaker"
 
     pending = [key for key in state.order if key not in outcomes]
@@ -944,13 +840,9 @@ def resume_campaign(
         state.options["batch"] = batch
 
     # 5. dispatch ---------------------------------------------------------
-    interrupted = _drive(
+    return _drive(
         journal, state, outcomes, sources,
         directory=directory, jobs=jobs, telemetry=telemetry,
-    )
-    return _finish(
-        journal, state, outcomes, sources, interrupted,
-        directory=directory, telemetry=telemetry,
         raise_on_error=raise_on_error,
     )
 
@@ -1012,98 +904,6 @@ def list_campaigns(cache_dir: str | Path) -> list[dict]:
     return rows
 
 
-# -- cache inspection (the `repro cache` verb) -------------------------------
-
-
-def _classify_quarantined(path: Path) -> str:
-    """Re-derive why a quarantined cache entry was rejected."""
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return "unreadable"
-    if payload.get("fingerprint") != path.stem:
-        return "fingerprint_mismatch"
-    try:
-        from .parallel import _campaign_from_dict
-        from .results import result_from_dict
-
-        if payload.get("kind") == "campaign":
-            _campaign_from_dict(payload["result"])
-        else:
-            result_from_dict(payload["result"])
-    except Exception:
-        return "bad_shape"
-    return "recovered"  # would load cleanly now (e.g. a racing writer won)
-
-
-def quarantine_entries(cache_dir: str | Path) -> list[dict]:
-    """Every quarantined cache entry with its (re-derived) reason."""
-    from .parallel import QUARANTINE_DIR
-
-    directory = Path(cache_dir) / QUARANTINE_DIR
-    entries: list[dict] = []
-    if not directory.is_dir():
-        return entries
-    for path in sorted(directory.glob("*.json")):
-        entries.append(
-            {
-                "file": path.name,
-                "bytes": path.stat().st_size,
-                "reason": _classify_quarantined(path),
-            }
-        )
-    return entries
-
-
-def cache_stats(cache_dir: str | Path) -> dict:
-    """Aggregate statistics for one cache directory.
-
-    Powers ``repro cache``: entry counts and bytes by kind, the result
-    format versions present, rollup/journal/quarantine/tmp tallies.
-    Purely a reader — never mutates, quarantines, or sweeps.
-    """
-    directory = Path(cache_dir)
-    stats = {
-        "cache_dir": str(directory),
-        "entries": 0,
-        "bytes": 0,
-        "kinds": {},
-        "format_versions": {},
-        "unreadable": 0,
-        "stale_tmp": 0,
-        "rollups": 0,
-        "campaigns": 0,
-        "quarantined": 0,
-    }
-    if not directory.is_dir():
-        return stats
-    for path in sorted(directory.glob("*.json")):
-        stats["entries"] += 1
-        stats["bytes"] += path.stat().st_size
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            stats["unreadable"] += 1
-            continue
-        kind = str(payload.get("kind", "?"))
-        stats["kinds"][kind] = stats["kinds"].get(kind, 0) + 1
-        version = str(
-            (payload.get("result") or {}).get("format_version", "?")
-        )
-        stats["format_versions"][version] = (
-            stats["format_versions"].get(version, 0) + 1
-        )
-    stats["stale_tmp"] = len(list(directory.glob("*.json.*.tmp")))
-    stats["rollups"] = len(list((directory / ROLLUP_DIR).glob("*.json")))
-    journal_root = directory / JOURNAL_DIR
-    if journal_root.is_dir():
-        stats["campaigns"] = sum(
-            1 for p in journal_root.iterdir() if p.is_dir()
-        )
-    stats["quarantined"] = len(quarantine_entries(directory))
-    return stats
-
-
 def _zero_wall_seconds(node) -> None:
     """Normalize the one legitimately nondeterministic result field.
 
@@ -1142,7 +942,7 @@ def results_to_canonical_json(results) -> str:
                 }}
             )
         elif isinstance(result, CampaignResult):
-            payload.append({"campaign": _campaign_to_dict(result)})
+            payload.append({"campaign": campaign_to_dict(result)})
         else:
             payload.append({"run": result_to_dict(result)})
     _zero_wall_seconds(payload)

@@ -17,7 +17,11 @@ makes two things safe that are normally hazardous for simulators:
 misses, store what came back, and return results in input order.  The
 experiment harness (:class:`~repro.sim.experiment.ExperimentRunner`) and
 :func:`~repro.sim.campaign.run_campaign` route through it when given a
-cache directory and/or a job count.
+cache directory and/or a job count.  Its body is two steps that
+:func:`~repro.sim.durable.run_durable` shares: :func:`_dispatch` serves
+each distinct spec from the cache, batch, serial or pool tier, and
+:func:`_publish` emits the lane events, writes the rollup and raises.
+The cache format itself lives in :mod:`repro.sim.cache`.
 
 The runner is hardened against the three ways a big campaign dies
 (docs/robustness.md):
@@ -58,10 +62,11 @@ from ..config import SimulationConfig
 from ..errors import FaultError, SimulationError
 from ..pipeline.banks import StreamBank, stream_key
 from ..telemetry.events import EventType
-from ..telemetry.metrics import MetricsRegistry
 from .batch import batch_fingerprint, simulate_lockstep, trajectory_key
-from .campaign import CampaignResult, QuantumRecord, run_campaign
-from .results import FORMAT_VERSION, result_from_dict, result_to_dict
+from .cache import RUNNER_METRICS, store_entry, sweep_stale_tmp
+from .cache import load_entry as _cache_load  # perfbench's tracer counts hits here
+from .campaign import CampaignResult, run_campaign
+from .results import FORMAT_VERSION
 from .simulator import run_workloads
 from .stats import RunResult
 
@@ -80,15 +85,6 @@ JOBS_ENV = "REPRO_BENCH_JOBS"
 #: ``BACKOFF_BASE_S * 2**(n-1) * (1 + jitter)`` with jitter in [0, 1)
 #: derived from the spec fingerprint — deterministic, not wall-clock.
 BACKOFF_BASE_S = 0.05
-
-#: Process-wide counters for the batch runner and the cache: quarantined
-#: entries, retries, timeouts, pool breaks, final failures, and the µop
-#: stream rows the serial and pool tiers generated into or replayed from a
-#: shared stream (``runner.stream_rows_generated``/``_replayed``).  A
-#: process concern, not a simulation result, so it lives here rather than
-#: on any per-run telemetry session.
-RUNNER_METRICS = MetricsRegistry()
-
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -127,12 +123,13 @@ class RunFailure:
 
     Takes the failed spec's slot in :func:`run_many`'s result list, so a
     partial campaign stays index-aligned with its input.  ``kind`` is
-    ``"timeout"``, ``"crash"`` (the pool broke and the serial re-run also
-    failed), ``"error"``, ``"interrupted"`` (an operator interrupt drained
-    the batch before this spec finished), or ``"breaker_open"`` (a durable
-    campaign's circuit breaker skipped the spec — see
-    :mod:`repro.sim.durable`); ``attempts`` counts every attempt made
-    (1 + retries at most).  Failures are never written to the cache.
+    ``"timeout"``, ``"error"`` (any other failed attempt, including an
+    injected crash re-run serially after the pool broke),
+    ``"interrupted"`` (an operator interrupt drained the batch before this
+    spec finished), or ``"breaker_open"`` (a durable campaign's circuit
+    breaker skipped the spec — see :mod:`repro.sim.durable`);
+    ``attempts`` counts every attempt made (1 + retries at most).
+    Failures are never written to the cache.
     """
 
     workloads: tuple[str, ...]
@@ -406,159 +403,6 @@ def _backoff_seconds(key: str, attempt: int) -> float:
     """
     jitter = zlib.crc32(f"{key}:{attempt}".encode()) / 2**32
     return BACKOFF_BASE_S * (2 ** (attempt - 1)) * (1.0 + jitter)
-
-
-# -- on-disk cache -----------------------------------------------------------
-
-
-def _campaign_to_dict(campaign: CampaignResult) -> dict:
-    return {
-        "workloads": list(campaign.workloads),
-        "policy": campaign.policy,
-        "quanta": [
-            {
-                "index": record.index,
-                "committed": list(record.committed),
-                "ipc": list(record.ipc),
-                "emergencies": record.emergencies,
-                "sedations": record.sedations,
-            }
-            for record in campaign.quanta
-        ],
-        "final": result_to_dict(campaign.final),
-    }
-
-
-def _campaign_from_dict(payload: dict) -> CampaignResult:
-    return CampaignResult(
-        workloads=tuple(payload["workloads"]),
-        policy=payload["policy"],
-        quanta=tuple(
-            QuantumRecord(
-                index=record["index"],
-                committed=tuple(record["committed"]),
-                ipc=tuple(record["ipc"]),
-                emergencies=record["emergencies"],
-                sedations=record["sedations"],
-            )
-            for record in payload["quanta"]
-        ),
-        final=result_from_dict(payload["final"]),
-    )
-
-
-def _cache_path(cache_dir: Path, key: str) -> Path:
-    return cache_dir / f"{key}.json"
-
-
-#: Subdirectory of the cache that receives corrupt entries.
-QUARANTINE_DIR = "quarantine"
-
-
-def _quarantine(cache_dir: Path, path: Path, reason: str) -> None:
-    """Move one unreadable cache entry aside and count it.
-
-    Quarantined files keep their name under ``<cache_dir>/quarantine/`` so
-    a human (or a bug report) can inspect exactly what was on disk; the
-    entry becomes a plain miss and is re-simulated.  Never raises — cache
-    hygiene must not take down a campaign.
-    """
-    quarantine = cache_dir / QUARANTINE_DIR
-    try:
-        quarantine.mkdir(parents=True, exist_ok=True)
-        os.replace(path, quarantine / path.name)
-    except OSError:
-        return
-    RUNNER_METRICS.inc("cache.quarantined")
-    RUNNER_METRICS.inc(f"cache.quarantined.{reason}")
-
-
-def _cache_load(
-    cache_dir: Path | None, key: str
-) -> RunResult | CampaignResult | None:
-    if cache_dir is None:
-        return None
-    path = _cache_path(cache_dir, key)
-    try:
-        payload = json.loads(path.read_text())
-    except FileNotFoundError:
-        return None  # a plain miss: nothing was ever stored
-    except (OSError, ValueError):
-        # The file exists but cannot be read or parsed: that is corruption,
-        # not a miss — quarantine it so it is observable and inspectable.
-        _quarantine(cache_dir, path, "unreadable")
-        return None
-    try:
-        if payload.get("fingerprint") != key:
-            _quarantine(cache_dir, path, "fingerprint_mismatch")
-            return None
-        if payload["kind"] == "campaign":
-            return _campaign_from_dict(payload["result"])
-        return result_from_dict(payload["result"])
-    except Exception:
-        # Parsed JSON whose shape no longer matches the result format —
-        # a stale or mangled entry.  Quarantine rather than swallow.
-        _quarantine(cache_dir, path, "bad_shape")
-        return None
-
-
-def _sweep_stale_tmp(cache_dir: Path) -> int:
-    """Remove ``*.tmp`` files stranded by dead writers; returns the count.
-
-    Tmp names embed the writer's pid (``<key>.json.<pid>.tmp``); a tmp file
-    whose pid is no longer alive can never be published and is deleted.
-    Live writers' files are left alone — no wall-clock ageing involved.
-    """
-    removed = 0
-    for tmp in sorted(cache_dir.glob("*.json.*.tmp")):
-        try:
-            pid = int(tmp.suffixes[-2].lstrip("."))
-        except (ValueError, IndexError):
-            continue
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            pass  # the writer is gone; its tmp file is garbage
-        except (PermissionError, OSError):
-            continue  # pid exists (or is unknowable): leave the file alone
-        else:
-            continue  # pid alive: an in-flight write
-        try:
-            tmp.unlink()
-            removed += 1
-        except OSError:
-            continue
-    if removed:
-        RUNNER_METRICS.inc("cache.stale_tmp_removed", removed)
-    return removed
-
-
-def _cache_store(
-    cache_dir: Path | None,
-    key: str,
-    spec: RunSpec | CampaignSpec,
-    result: RunResult | CampaignResult,
-) -> None:
-    if cache_dir is None:
-        return
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    if isinstance(result, CampaignResult):
-        body: dict = {"kind": "campaign", "result": _campaign_to_dict(result)}
-    else:
-        body = {"kind": "run", "result": result_to_dict(result)}
-    body["fingerprint"] = key
-    body["workloads"] = list(spec.workloads)
-    path = _cache_path(cache_dir, key)
-    # Atomic publish: concurrent writers (parallel pytest sessions) race
-    # benignly — both write identical bytes and os.replace is atomic.  The
-    # finally clause keeps a failed write (ENOSPC, a signal between
-    # write_text and replace) from stranding the tmp file.
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(body, separators=(",", ":")))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 # -- the batch runner --------------------------------------------------------
@@ -853,7 +697,7 @@ def _run_lockstep_groups(
     work: list[tuple[str, RunSpec | CampaignSpec]],
     outcomes: dict[str, RunResult | CampaignResult | RunFailure],
     timeout: float | None,
-    lane_info: dict[str, dict] | None = None,
+    lane_info: dict[str, dict],
 ) -> None:
     """The lock-step batch tier: amortize compatible specs on one pipeline.
 
@@ -866,7 +710,8 @@ def _run_lockstep_groups(
     them one pipeline each, pure overhead over a scalar run — so they
     route straight to the scalar tiers; this also covers the width-1 case
     (a singleton group is optimal scalar work).  Every batched lane is
-    booked directly into ``outcomes`` (byte-identical to the scalar path,
+    booked directly into ``outcomes``, with its cohort tags in
+    ``lane_info`` (byte-identical to the scalar path,
     so downstream caching and dedup behave as if the scalar simulator had
     run); acting lanes are retained in-batch by cohort splitting
     (:mod:`repro.sim.cohort`), so only a whole-group engine failure or
@@ -930,54 +775,178 @@ def _run_lockstep_groups(
         lane_cohorts = batch_metrics.get("lane_cohorts") or []
         for lane, result in lane_results.items():
             outcomes[members[lane][0]] = result
-            if lane_info is not None:
-                info = {"cohorts": batch_metrics.get("cohorts", 0)}
-                if lane < len(lane_cohorts):
-                    info["cohort"] = lane_cohorts[lane]
-                lane_info[members[lane][0]] = info
+            info = {"cohorts": batch_metrics.get("cohorts", 0)}
+            if lane < len(lane_cohorts):
+                info["cohort"] = lane_cohorts[lane]
+            lane_info[members[lane][0]] = info
         RUNNER_METRICS.inc("runner.batch_completed", len(lane_results))
         RUNNER_METRICS.inc("runner.batch_deferred", len(deferred))
         RUNNER_METRICS.inc("runner.batch_cohorts", batch_metrics.get("cohorts", 0))
         RUNNER_METRICS.inc("runner.batch_splits", batch_metrics.get("splits", 0))
 
 
-def _emit_campaign_events(
-    telemetry,
+def _dispatch(
+    work: list[tuple[str, RunSpec | CampaignSpec]],
+    directory: Path | None,
+    *,
+    jobs: int | None,
+    timeout: float | None,
+    retries: int,
+    batch: bool,
+) -> tuple[dict, dict[str, str], dict[str, dict], bool]:
+    """Serve each distinct ``(fingerprint, spec)`` of ``work`` from the
+    cheapest tier that can: the cache, the lock-step batch tier, then the
+    serial path or the process pool.
+
+    Returns ``(outcomes, sources, lane_info, interrupted)``: the result or
+    :class:`RunFailure` per fingerprint, the tier that served it
+    (``cache``/``batch``/``serial``/``pool``), the cohort tags of batch
+    lanes, and whether an operator interrupt drained the dispatch.  Every
+    fresh result is stored in the cache; interrupted specs are booked as
+    ``interrupted`` failures and never stored.
+    """
+    if retries < 0:
+        raise SimulationError("retries must be >= 0")
+    if timeout is not None and timeout <= 0:
+        raise SimulationError("timeout must be positive")
+    if directory is not None and directory.is_dir():
+        sweep_stale_tmp(directory)
+    outcomes: dict[str, RunResult | CampaignResult | RunFailure] = {}
+    sources: dict[str, str] = {}
+    lane_info: dict[str, dict] = {}
+    misses: list[tuple[str, RunSpec | CampaignSpec]] = []
+    for key, spec in work:
+        hit = _cache_load(directory, key)
+        if hit is None:
+            misses.append((key, spec))
+        else:
+            outcomes[key] = hit
+            sources[key] = "cache"
+    if not misses:
+        return outcomes, sources, lane_info, False
+
+    attempts = {key: 0 for key, _ in misses}
+    workers = default_jobs() if jobs is None else max(1, jobs)
+    try:
+        if batch:
+            _run_lockstep_groups(misses, outcomes, timeout, lane_info)
+            sources.update(dict.fromkeys(lane_info, "batch"))
+        unresolved = [(key, spec) for key, spec in misses if key not in outcomes]
+        if unresolved:
+            tier = "serial" if workers <= 1 or len(unresolved) == 1 else "pool"
+            sources.update(dict.fromkeys((key for key, _ in unresolved), tier))
+            if tier == "serial":
+                _run_serial(unresolved, attempts, timeout, retries, outcomes)
+            else:
+                _run_pool(unresolved, attempts, timeout, retries, outcomes, workers)
+    except KeyboardInterrupt:
+        # The serial and batch tiers unwind to here on Ctrl-C/SIGTERM; the
+        # pool tier drains internally and returns normally.  Either way
+        # every unresolved spec gets an outcome.
+        RUNNER_METRICS.inc("runner.interrupts")
+        _book_interrupted(misses, attempts, outcomes)
+    interrupted = False
+    for key, spec in misses:
+        outcome = outcomes[key]
+        if not isinstance(outcome, RunFailure):
+            store_entry(directory, key, spec, outcome)
+        elif outcome.kind == "interrupted":
+            interrupted = True
+    if interrupted and directory is not None and directory.is_dir():
+        # A drain may have abandoned workers mid-write; their tmp files
+        # are dead-pid garbage once the pool is gone.
+        sweep_stale_tmp(directory)
+    return outcomes, sources, lane_info, interrupted
+
+
+def _publish(
     spec_list: list[RunSpec | CampaignSpec],
     keys: list[str],
-    results: list,
+    results: list[RunResult | CampaignResult | RunFailure],
     sources: dict[str, str],
     lane_info: dict[str, dict],
+    interrupted: bool,
+    *,
+    directory: Path | None,
+    telemetry,
+    raise_on_error: bool,
+    scope: str = "",
 ) -> None:
-    """Emit one LANE_COMPLETE per input slot on the campaign session.
+    """Report a finished batch: lane events, the rollup, then any error.
 
-    The event's ``cycle`` is the lane index (campaign sessions count lanes,
-    not simulated cycles); ``data`` names the execution tier that produced
-    the slot (``cache``/``batch``/``pool``/``serial``) and, for batch
-    lanes, which cohort the lane ended its quantum in.
+    ``telemetry`` receives one ``LANE_COMPLETE`` per input slot — its
+    ``cycle`` is the lane index, its ``source`` the tier in ``sources``
+    (``drained`` for an interrupted slot) plus the batch cohort tags — and
+    a ``CAMPAIGN_ROLLUP`` when a rollup is written.  A multi-spec batch
+    that was not interrupted writes its rollup under
+    ``<directory>/rollups/``.  With ``raise_on_error``, an interrupt is
+    re-raised as ``KeyboardInterrupt`` and failures as one
+    :class:`~repro.errors.SimulationError`; ``scope`` names the campaign
+    in both messages.
     """
-    for index, (spec, key) in enumerate(zip(spec_list, keys, strict=True)):
-        result = results[index]
-        data: dict = {
-            "lane": index,
-            "source": sources.get(key, "cache"),
-            "workloads": "+".join(spec.workloads),
-            "policy": spec.config.dtm_policy,
-        }
-        info = lane_info.get(key)
-        if info is not None:
-            data.update(info)
-        if isinstance(result, RunFailure):
-            data["error"] = result.kind
-        else:
-            final = result.final if isinstance(result, CampaignResult) else result
-            data["cycles"] = final.cycles
-            data["ipc"] = final.threads[0].ipc
-        telemetry.emit(
-            # repro: noqa(RPR008) success and failure lanes intentionally
-            # carry different keys (cycles/ipc vs error), and cohort tags
-            # are batch-tier-only; tests pin this exact shape
-            EventType.LANE_COMPLETE, cycle=index, data=data,
+    emit = telemetry is not None and telemetry.enabled
+    if emit:
+        for index, (spec, key, result) in enumerate(
+            zip(spec_list, keys, results, strict=True)
+        ):
+            data: dict = {
+                "lane": index,
+                "source": sources.get(key, "cache"),
+                "workloads": "+".join(spec.workloads),
+                "policy": spec.config.dtm_policy,
+            }
+            data.update(lane_info.get(key, {}))
+            if isinstance(result, RunFailure):
+                data["error"] = result.kind
+                if result.kind == "interrupted":
+                    data["source"] = "drained"
+            else:
+                final = result.final if isinstance(result, CampaignResult) else result
+                data["cycles"] = final.cycles
+                data["ipc"] = final.threads[0].ipc
+            telemetry.emit(
+                # repro: noqa(RPR008) success and failure lanes intentionally
+                # carry different keys (cycles/ipc vs error), and cohort tags
+                # are batch-tier-only; tests pin this exact shape
+                EventType.LANE_COMPLETE, cycle=index, data=data,
+            )
+    if directory is not None and len(spec_list) >= 2 and not interrupted:
+        from .rollup import build_rollup, write_rollup
+
+        payload = build_rollup(list(zip(spec_list, keys, results, strict=True)))
+        write_rollup(directory, payload)
+        if emit:
+            telemetry.emit(
+                EventType.CAMPAIGN_ROLLUP,
+                cycle=len(spec_list),
+                data={
+                    "key": payload["key"],
+                    "runs": payload["runs"],
+                    "failures": payload["failures"],
+                },
+            )
+    if not raise_on_error:
+        return
+    failures = [r for r in results if isinstance(r, RunFailure)]
+    if interrupted:
+        # Cleanup is done (completed outcomes cached, tmp files swept, any
+        # journal sealed); now honor the interrupt so callers' handlers
+        # still fire.
+        unfinished = sum(1 for f in failures if f.kind == "interrupted")
+        raise KeyboardInterrupt(
+            f"interrupted{scope}: {unfinished} of {len(spec_list)} spec(s) "
+            "unfinished"
+        )
+    if failures:
+        detail = "; ".join(
+            f"{'+'.join(f.workloads)}: {f.kind} after {f.attempts} "
+            f"attempt(s) ({f.error})"
+            for f in failures[:3]
+        )
+        more = f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
+        raise SimulationError(
+            f"{len(failures)} of {len(spec_list)} spec(s) failed{scope}: "
+            f"{detail}{more}"
         )
 
 
@@ -991,8 +960,6 @@ def run_many(
     raise_on_error: bool = True,
     batch: bool = True,
     telemetry=None,
-    rollup: bool = True,
-    resume: str | None = None,
 ) -> list[RunResult | CampaignResult | RunFailure]:
     """Run a batch of specs, in parallel, through the on-disk cache.
 
@@ -1033,14 +1000,11 @@ def run_many(
     ``raise_on_error=False`` the partial, index-aligned result list is
     returned; with the default ``raise_on_error=True`` the
     ``KeyboardInterrupt`` is re-raised *after* that cleanup, so the cache
-    (and any durable-campaign journal) reflects everything that finished.
+    reflects everything that finished.
 
-    ``rollup=False`` suppresses the per-batch rollup document (the durable
-    layer drives several partial waves through here and publishes one
-    rollup for the whole campaign itself).  ``resume=<campaign_id>``
-    ignores ``specs`` (which must be empty) and replays a durable
-    campaign's journal instead — a convenience alias for
-    :func:`repro.sim.durable.resume_campaign`.
+    ``run_many`` keeps no journal: a crash-safe, resumable campaign is
+    :func:`repro.sim.durable.run_durable`, which shares this function's
+    dispatch and publish steps.
 
     Observability: ``telemetry`` (a
     :class:`~repro.telemetry.TelemetrySession`) receives one
@@ -1051,146 +1015,19 @@ def run_many(
     under ``<cache_dir>/rollups/`` (see :mod:`repro.sim.rollup` and the
     ``repro campaign-summary`` verb).
     """
-    if retries < 0:
-        raise SimulationError("retries must be >= 0")
-    if timeout is not None and timeout <= 0:
-        raise SimulationError("timeout must be positive")
     spec_list = list(specs)
-    if resume is not None:
-        if spec_list:
-            raise SimulationError(
-                "run_many(resume=...) replays the journal's own manifest; "
-                "pass an empty spec list"
-            )
-        from .durable import resume_campaign
-
-        overrides: dict = {}
-        if timeout is not None:
-            overrides["timeout"] = timeout
-        if retries:
-            overrides["retries"] = retries
-        if not batch:
-            overrides["batch"] = False
-        return resume_campaign(
-            resume,
-            cache_dir=cache_dir if cache else None,
-            jobs=jobs,
-            raise_on_error=raise_on_error,
-            telemetry=telemetry,
-            **overrides,
-        )
     directory = Path(cache_dir) if (cache and cache_dir is not None) else None
-    if directory is not None and directory.is_dir():
-        _sweep_stale_tmp(directory)
-
-    results: list[RunResult | CampaignResult | RunFailure | None] = (
-        [None] * len(spec_list)
+    keys = [spec_fingerprint(spec) for spec in spec_list]
+    first_seen: dict[str, RunSpec | CampaignSpec] = {}
+    for key, spec in zip(keys, spec_list, strict=True):
+        first_seen.setdefault(key, spec)
+    outcomes, sources, lane_info, interrupted = _dispatch(
+        list(first_seen.items()), directory,
+        jobs=jobs, timeout=timeout, retries=retries, batch=batch,
     )
-    order: list[str] = []  # first-seen fingerprints still to execute
-    pending: dict[str, list[int]] = {}  # fingerprint -> indices needing it
-    keys: list[str] = []  # per-slot fingerprint, input order
-    sources: dict[str, str] = {}  # fingerprint -> execution tier
-    lane_info: dict[str, dict] = {}  # fingerprint -> batch cohort tags
-    for index, spec in enumerate(spec_list):
-        key = spec_fingerprint(spec)
-        keys.append(key)
-        if key in pending:
-            pending[key].append(index)
-            continue
-        hit = _cache_load(directory, key)
-        if hit is not None:
-            results[index] = hit
-            sources[key] = "cache"
-        else:
-            pending[key] = [index]
-            order.append(key)
-
-    interrupted = False
-    if order:
-        work = [(key, spec_list[pending[key][0]]) for key in order]
-        attempts = dict.fromkeys(order, 0)
-        outcomes: dict[str, RunResult | CampaignResult | RunFailure] = {}
-        workers = default_jobs() if jobs is None else max(1, jobs)
-        try:
-            if batch:
-                _run_lockstep_groups(work, outcomes, timeout, lane_info)
-                for key in outcomes:
-                    sources[key] = "batch"
-            unresolved = [
-                (key, spec) for key, spec in work if key not in outcomes
-            ]
-            if not unresolved:
-                pass
-            elif workers <= 1 or len(unresolved) == 1:
-                _run_serial(unresolved, attempts, timeout, retries, outcomes)
-                for key, _ in unresolved:
-                    sources.setdefault(key, "serial")
-            else:
-                _run_pool(
-                    unresolved, attempts, timeout, retries, outcomes, workers
-                )
-                for key, _ in unresolved:
-                    sources.setdefault(key, "pool")
-        except KeyboardInterrupt:
-            # The serial and batch tiers unwind to here on Ctrl-C/SIGTERM;
-            # the pool tier drains internally and returns normally.  Either
-            # way every unresolved spec gets an index-aligned slot.
-            RUNNER_METRICS.inc("runner.interrupts")
-            _book_interrupted(work, attempts, outcomes)
-        for key, spec in work:
-            outcome = outcomes[key]
-            if isinstance(outcome, RunFailure):
-                if outcome.kind == "interrupted":
-                    interrupted = True
-                    sources[key] = "drained"
-            else:
-                _cache_store(directory, key, spec, outcome)
-            for index in pending[key]:
-                results[index] = outcome
-        if interrupted and directory is not None and directory.is_dir():
-            # A drain may have abandoned workers mid-write; their tmp files
-            # are dead-pid garbage once the pool is gone.
-            _sweep_stale_tmp(directory)
-
-    if telemetry is not None and telemetry.enabled:
-        _emit_campaign_events(
-            telemetry, spec_list, keys, results, sources, lane_info
-        )
-    if directory is not None and len(spec_list) >= 2 and rollup and not interrupted:
-        from .rollup import build_rollup, write_rollup
-
-        payload = build_rollup(
-            list(zip(spec_list, keys, results, strict=True))
-        )
-        write_rollup(directory, payload)
-        if telemetry is not None and telemetry.enabled:
-            telemetry.emit(
-                EventType.CAMPAIGN_ROLLUP,
-                cycle=len(spec_list),
-                data={
-                    "key": payload["key"],
-                    "runs": payload["runs"],
-                    "failures": payload["failures"],
-                },
-            )
-
-    failures = [r for r in results if isinstance(r, RunFailure)]
-    if interrupted and raise_on_error:
-        # Cleanup is done (completed outcomes cached, tmp files swept);
-        # now honor the interrupt so callers' handlers still fire.
-        raise KeyboardInterrupt(
-            f"interrupted: {len(failures)} of {len(spec_list)} spec(s) "
-            "unfinished"
-        )
-    if failures and raise_on_error:
-        detail = "; ".join(
-            f"{'+'.join(f.workloads)}: {f.kind} after {f.attempts} "
-            f"attempt(s) ({f.error})"
-            for f in failures[:3]
-        )
-        more = f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
-        raise SimulationError(
-            f"{len(failures)} of {len(spec_list)} spec(s) failed: "
-            f"{detail}{more}"
-        )
-    return results  # type: ignore[return-value]  # every slot is filled
+    results = [outcomes[key] for key in keys]
+    _publish(
+        spec_list, keys, results, sources, lane_info, interrupted,
+        directory=directory, telemetry=telemetry, raise_on_error=raise_on_error,
+    )
+    return results

@@ -25,14 +25,13 @@ from repro.sim import (
     run_many,
     spec_fingerprint,
 )
+from repro.sim.cache import cache_stats, quarantine_entries
 from repro.sim.durable import (
     CampaignJournal,
     _DrainSupervisor,
     breaker_family,
-    cache_stats,
     derive_campaign_id,
     list_campaigns,
-    quarantine_entries,
     replay,
     results_to_canonical_json,
     resume_campaign,
@@ -349,27 +348,6 @@ class TestDrainSupervisor:
         assert list_campaigns(tmp_path)[0]["sealed"] == "resumable"
         resumed = resume_campaign(campaign, cache_dir=tmp_path, jobs=1)
         assert kinds(resumed) == ["ok", "ok"]
-
-
-class TestRunManyResumeParam:
-    def test_resume_param_routes_to_durable_layer(self, tmp_path):
-        specs = [chaos_spec(("vpr", "art"), interrupt_attempts=1)]
-        campaign = campaign_id_of(specs)
-        run_durable(
-            specs, cache_dir=tmp_path, jobs=1, raise_on_error=False
-        )
-        results = run_many(
-            [], resume=campaign, cache_dir=tmp_path, jobs=1,
-            raise_on_error=False,
-        )
-        assert kinds(results) == ["ok"]
-
-    def test_resume_param_rejects_specs(self, tmp_path):
-        with pytest.raises(SimulationError, match="empty spec list"):
-            run_many(
-                [plain_spec(("gcc", "swim"))],
-                resume="cafe", cache_dir=tmp_path,
-            )
 
 
 class TestCacheInspection:

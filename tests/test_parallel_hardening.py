@@ -17,10 +17,10 @@ from repro.config import scaled_config
 from repro.errors import SimulationError
 from repro.faults import FaultPlan, SensorFaultPlan, WorkerFaultPlan
 from repro.sim import RunFailure, RunResult, RunSpec, run_many, spec_fingerprint
+from repro.sim.cache import sweep_stale_tmp as _sweep_stale_tmp
 from repro.sim.parallel import (
     RUNNER_METRICS,
     _backoff_seconds,
-    _sweep_stale_tmp,
 )
 
 
