@@ -12,16 +12,15 @@ Data memory is a sparse dictionary; uninitialized loads return zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ExecutionError
 from .instructions import Instruction, OpClass
 from .program import Program
-from .registers import FP_BASE, TOTAL_REGS, ZERO_REG
+from .registers import TOTAL_REGS, ZERO_REG
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     """Outcome of architecturally executing one instruction.
 
     ``address`` is the effective address for memory operations (else ``None``)
@@ -42,6 +41,10 @@ class ArchExecutor:
 
     def __init__(self, program: Program) -> None:
         self.program = program
+        #: each static instruction's class, decoded once (indexed by PC)
+        self._opclasses = [
+            instruction.opclass for instruction in program.instructions
+        ]
         self.pc = program.entry
         self.registers = [0] * TOTAL_REGS
         self.memory: dict[int, int] = {}
@@ -64,7 +67,7 @@ class ArchExecutor:
             raise ExecutionError(f"{self.program.name}: stepping a halted thread")
         pc = self.pc
         instruction = self.program.at(pc)
-        result = self._execute(pc, instruction)
+        result = self._execute(pc, instruction, self._opclasses[pc])
         self.pc = result.next_pc
         self.halted = result.halted
         self.instructions_executed += 1
@@ -72,8 +75,9 @@ class ArchExecutor:
 
     # -- semantics ---------------------------------------------------------
 
-    def _execute(self, pc: int, instruction: Instruction) -> StepResult:
-        opclass = instruction.opclass
+    def _execute(
+        self, pc: int, instruction: Instruction, opclass: OpClass
+    ) -> StepResult:
         next_pc = pc + 1
 
         if opclass is OpClass.LOAD:
@@ -160,6 +164,3 @@ class ArchExecutor:
 
 __all__ = ["ArchExecutor", "StepResult"]
 
-
-def _is_fp(reg: int) -> bool:  # pragma: no cover - convenience re-export
-    return reg >= FP_BASE

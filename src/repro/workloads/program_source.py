@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from ..branch import BranchPredictor
 from ..isa.executor import ArchExecutor
-from ..isa.instructions import OpClass
 from ..isa.program import Program
 from ..pipeline.uop import ISA_CLASS_CODE, OP_BRANCH, Uop
 
@@ -47,6 +46,16 @@ class ProgramSource:
         self._code_base = base + CODE_REGION_OFFSET
         self._data_base = base
         self.executor = ArchExecutor(program)
+        #: per instruction index: (opclass code, dest, source registers) —
+        #: the static half of every uop, decoded once
+        self._decoded = [
+            (
+                ISA_CLASS_CODE[instruction.opclass.value],
+                -1 if instruction.dest is None else instruction.dest,
+                instruction.source_registers(),
+            )
+            for instruction in program.instructions
+        ]
         self.branches = 0
         self.mispredicts = 0
 
@@ -73,12 +82,12 @@ class ProgramSource:
         executor = self.executor
         if executor.halted:
             return None
-        pc_bytes = self._code_base + executor.pc * INSTRUCTION_BYTES
+        index = executor.pc
+        pc_bytes = self._code_base + index * INSTRUCTION_BYTES
         result = executor.step()
         if result.halted:
             return None
-        instruction = result.instruction
-        opclass = ISA_CLASS_CODE[instruction.opclass.value]
+        opclass, dest, srcs = self._decoded[index]
 
         mispredict = False
         taken = False
@@ -97,14 +106,13 @@ class ProgramSource:
         if result.address is not None:
             address = self._data_base + result.address
 
-        dest = instruction.dest if instruction.dest is not None else -1
         return Uop(
             self.thread_id,
             pc_bytes,
             opclass,
-            dest=dest,
-            srcs=instruction.source_registers(),
-            address=address,
-            taken=taken,
-            mispredict=mispredict,
+            dest,
+            srcs,
+            address,
+            taken,
+            mispredict,
         )
