@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
+from ..lanes import gather_lanes
 
 
 class Ewma:
@@ -77,10 +78,14 @@ class EwmaBank:
 
     ``shifts`` may be a scalar or any array broadcastable against ``shape``
     (e.g. ``(B, 1, 1)`` for per-lane blend factors); ``x = 2**-shift`` is
-    computed with ``ldexp`` so it is the exact power of two ``Ewma`` uses.
+    computed with ``ldexp`` so it is the exact power of two ``Ewma`` uses,
+    and is expanded to one factor per register so it splits with its lane.
     """
 
     __slots__ = ("x", "values", "samples", "missed")
+
+    #: Per-lane (leading-axis) fields, gathered by :meth:`take`.
+    LANE_FIELDS = ("x", "values")
 
     def __init__(
         self, shifts: int | np.ndarray, shape: tuple[int, ...]
@@ -88,7 +93,7 @@ class EwmaBank:
         shift_arr = np.asarray(shifts, dtype=np.int64)
         if np.any((shift_arr < 0) | (shift_arr > 30)):
             raise ConfigError("EWMA shift out of range [0, 30]")
-        self.x = np.ldexp(1.0, -shift_arr)
+        self.x = np.ldexp(1.0, -np.broadcast_to(shift_arr, shape))
         self.values = np.zeros(shape)
         self.samples = 0
         self.missed = 0
@@ -119,16 +124,10 @@ class EwmaBank:
         """New bank holding the selected leading-axis (lane) slices.
 
         Used when a lock-step cohort splits: each child cohort carries away
-        its lanes' registers (copies — fancy indexing — so siblings never
-        alias).  Per-lane blend factors travel with their lanes; a scalar
-        (broadcast) factor is shared unchanged.
+        its lanes' registers and blend factors (see
+        :func:`~repro.lanes.gather_lanes`).
         """
-        clone = object.__new__(EwmaBank)
-        clone.x = self.x[indices] if np.ndim(self.x) else self.x
-        clone.values = self.values[indices]
-        clone.samples = self.samples
-        clone.missed = self.missed
-        return clone
+        return gather_lanes(self, indices)
 
     def miss(self) -> np.ndarray:
         """Record one missed tick bank-wide; no register is clocked."""

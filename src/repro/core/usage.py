@@ -20,6 +20,7 @@ import numpy as np
 
 from ..blocks import NUM_BLOCKS
 from ..config import SedationConfig
+from ..lanes import gather_lanes
 from ..pipeline.smt import SMTCore
 from .ewma import Ewma, EwmaBank
 
@@ -140,6 +141,10 @@ class BatchUsageMonitor:
     shared per-thread freeze mask passed to :meth:`sample`.
     """
 
+    #: The monitor's only per-lane state is its EWMA bank; the snapshot is
+    #: shared history (only ever rebound, never written in place).
+    LANE_FIELDS = ()
+
     def __init__(self, core: SMTCore, ewma_shifts: list[int]) -> None:
         self.core = core
         lanes = len(ewma_shifts)
@@ -184,15 +189,12 @@ class BatchUsageMonitor:
     def take(self, indices: np.ndarray, core: SMTCore) -> "BatchUsageMonitor":
         """New monitor for a child cohort holding the selected lanes.
 
-        ``core`` is the child cohort's pipeline (the snapshot state is
-        shared history, so it is copied; the EWMA bank is sliced per lane).
+        ``core`` is the child cohort's pipeline; the EWMA bank is sliced
+        per lane.
         """
-        clone = object.__new__(BatchUsageMonitor)
+        clone = gather_lanes(self, indices)
         clone.core = core
         clone.bank = self.bank.take(indices)
-        clone._last_counts = self._last_counts.copy()
-        clone._last_cycle = self._last_cycle
-        clone.samples_taken = self.samples_taken
         return clone
 
     def lane_values(self, lane: int) -> np.ndarray:

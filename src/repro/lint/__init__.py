@@ -13,18 +13,20 @@ RPR004    telemetry-coverage              no dead or undefined event types
 RPR005    threshold-ordering              lower < upper < emergency ladder
 RPR007    transitive-determinism-taint    no ambient reads through helpers
 RPR008    payload-schema                  one key set per EventType emit
-RPR009    bank-shape                      SoA banks allocate = take = split
 ========  ==============================  ==================================
 
-RPR001–RPR005 are per-module checks; RPR007–RPR009 query the shared
+RPR001–RPR005 are per-module checks; RPR007–RPR008 query the shared
 :class:`~repro.lint.project.ProjectContext` (cross-module symbol table,
-import graph, call graph, constant lattice) built once per run.
+import graph, call graph, dict-shape analysis) built once per run.
 
 See ``docs/linting.md`` for the full catalog, rationale, the
 ``# repro: noqa(CODE) reason`` suppression syntax, and the baseline
 workflow.  RPR006 (twin-path drift) is retired: the lock-step kernel
 drives the scalar DTM policies themselves, so no scalar/vector pair is
-left to drift.
+left to drift.  The bank-shape rule is retired too: every lane bank
+declares its per-lane fields once and clones through the one
+:func:`repro.lanes.gather_lanes`, and ``tests/test_cohort_split.py`` checks
+the declarations against a real split at runtime.
 """
 
 from __future__ import annotations

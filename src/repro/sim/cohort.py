@@ -33,9 +33,11 @@ whole visible *history*) is identical.  At every sensor boundary
 reading falls outside its policy's quiet band; if the lanes' visible
 tuples then disagree, the cohort **splits**: lanes are partitioned by
 :meth:`LaneDTM.visible_key`, the largest partition keeps the live pipeline,
-and every other partition deep-copies the pipeline/accountant at the
-boundary — a snapshot of the shared prefix — and continues as its own
-(possibly width-1) lock-step group.  Nothing ever restarts from cycle 0.
+and every other partition forks the pipeline and accountant at the boundary
+(:meth:`~repro.pipeline.smt.SMTCore.fork`) — a snapshot of the shared
+prefix — and continues as its own (possibly width-1) lock-step group.
+Nothing ever restarts from cycle 0.  Each child takes its lanes' rows of
+every lane bank through :func:`~repro.lanes.gather_lanes`.
 
 Exactness is by construction: the decisions are the scalar policies' own
 ``on_sensor`` calls, fed the lane's reported reading; a sedation
@@ -52,6 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..lanes import gather_lanes
 from ..thermal import RCThermalModel
 from ..thermal.sensors import SensorReading
 
@@ -163,6 +166,9 @@ class LaneDTM:
     vector compare and an ``on_sensor`` call per lane outside its band.
     """
 
+    #: Per-lane fields, gathered by :meth:`take`.
+    LANE_FIELDS = ("policies", "views", "low", "high")
+
     def __init__(self, policies: list, views: list[LaneView]) -> None:
         self.policies = policies
         self.views = views
@@ -216,26 +222,10 @@ class LaneDTM:
         :class:`~repro.sim.soa.LaneRngBank` streams: a lane lives in
         exactly one cohort, so its policy keeps one history across splits.
         """
-        clone = object.__new__(LaneDTM)
-        clone.policies = [self.policies[int(index)] for index in indices]
-        clone.views = [self.views[int(index)] for index in indices]
-        clone.low = self.low[indices]
-        clone.high = self.high[indices]
+        clone = gather_lanes(self, indices)
         for row, view in enumerate(clone.views):
             view.bind(core, bank, row)
         return clone
-
-
-def _group_layout(groups: dict, group_keys: list[str]) -> tuple[list, list[int]]:
-    """Positional view of the network groups: (group list, lane → ordinal).
-
-    ``groups`` preserves first-occurrence order of ``group_keys``, so the
-    ordinal of a lane's group is stable across splits — the sensor gather
-    (:func:`repro.sim.soa.sample_sensors`) indexes the stacked group states
-    with the lane → ordinal array instead of a per-lane dict lookup.
-    """
-    ordinals = {key: position for position, key in enumerate(groups)}
-    return list(groups.values()), [ordinals[key] for key in group_keys]
 
 
 class Cohort:
@@ -248,6 +238,10 @@ class Cohort:
     ``workloads`` names the trajectory every lane of this cohort shares
     (heterogeneous batches run one cohort tree per trajectory).
     """
+
+    #: Per-lane fields, gathered by :meth:`_take`; ``group_list`` and
+    #: ``group_rows`` are derived from ``group_keys`` and rebuilt instead.
+    LANE_FIELDS = ("lanes", "group_keys")
 
     __slots__ = (
         "lanes",
@@ -293,10 +287,8 @@ class Cohort:
         self.detector = detector
         self.rng = rng
         self.dtm = dtm
-        self.groups = dict(groups)
         self.group_keys = list(group_keys)
-        self.group_list, rows = _group_layout(self.groups, self.group_keys)
-        self.group_rows = np.array(rows, dtype=np.int64)
+        self._bind_groups(dict(groups))
         self.stalled = False
         self.slowdown = 1
         self.power_scale = 1.0
@@ -307,6 +299,22 @@ class Cohort:
     @property
     def width(self) -> int:
         return len(self.lanes)
+
+    def _bind_groups(self, groups: dict) -> None:
+        """Install ``groups`` and rebuild the positional view of them.
+
+        ``groups`` preserves first-occurrence order of ``group_keys``, so
+        the ordinal of a lane's group is stable across splits — the sensor
+        gather (:func:`repro.sim.soa.sample_sensors`) indexes the stacked
+        group states with the lane → ordinal array instead of a per-lane
+        dict lookup.
+        """
+        ordinals = {key: position for position, key in enumerate(groups)}
+        self.groups = groups
+        self.group_list = list(groups.values())
+        self.group_rows = np.array(
+            [ordinals[key] for key in self.group_keys], dtype=np.int64
+        )
 
     def adopt_visible(self) -> None:
         """Make the cohort (and its pipeline) match its lanes' visible state.
@@ -333,9 +341,10 @@ class Cohort:
 
         The largest partition (first on ties) keeps the live pipeline,
         accountant, thermal models, and propagator caches; every other
-        child deep-copies the pipeline state at this boundary — the shared
+        child forks them at this boundary (``SMTCore.fork``,
+        ``PowerAccountant.fork``, ``NetworkGroup.fork``) — the shared
         prefix becomes each child's own history.  All children are built
-        before any visible state is applied, so every copy snapshots the
+        before any visible state is applied, so every fork snapshots the
         same pre-divergence pipeline.
         """
         keeper = max(
@@ -351,13 +360,8 @@ class Cohort:
 
     def _take(self, positions: list[int], reuse: bool) -> "Cohort":
         indices = np.asarray(positions, dtype=np.int64)
-        child = Cohort.__new__(Cohort)
-        child.lanes = self.lanes[indices]
-        child.workloads = self.workloads
-        if reuse:
-            child.core = self.core
-            child.accountant = self.accountant
-        else:
+        child = gather_lanes(self, indices)
+        if not reuse:
             # Structured fork: the in-flight uop graph, caches, and
             # counters are cloned (identity-preserving); stream cursors
             # fork in O(1); the forked accountant points at the forked
@@ -368,17 +372,8 @@ class Cohort:
         child.detector = self.detector.take(indices)
         child.rng = self.rng.take(indices)
         child.dtm = self.dtm.take(indices, child.core, child.monitor.bank)
-        child.group_keys = [self.group_keys[position] for position in positions]
-        child.groups = {}
-        for key in dict.fromkeys(child.group_keys):
-            group = self.groups[key]
-            child.groups[key] = group if reuse else group.fork()
-        child.group_list, rows = _group_layout(child.groups, child.group_keys)
-        child.group_rows = np.array(rows, dtype=np.int64)
-        child.stalled = self.stalled
-        child.slowdown = self.slowdown
-        child.power_scale = self.power_scale
-        child.next_sample = self.next_sample
-        child.next_sensor = self.next_sensor
-        child.last_thermal = self.last_thermal
+        child._bind_groups({
+            key: self.groups[key] if reuse else self.groups[key].fork()
+            for key in dict.fromkeys(child.group_keys)
+        })
         return child

@@ -37,6 +37,7 @@ import random
 import numpy as np
 
 from ..blocks import NUM_BLOCKS
+from ..lanes import gather_lanes
 from ..thermal.sensors import add_sensor_noise
 
 
@@ -50,6 +51,9 @@ class LaneRngBank:
     is carrying the streams per lane, skipping all work when no lane is
     noisy (the common case), and gathering on splits.
     """
+
+    #: Per-lane fields, gathered by :meth:`take`.
+    LANE_FIELDS = ("sigmas", "rngs")
 
     def __init__(self, thermals) -> None:
         self.sigmas = np.array([t.sensor_noise_k for t in thermals])
@@ -76,9 +80,7 @@ class LaneRngBank:
         one cohort, so its stream keeps advancing one draw sequence no
         matter how many times its cohort splits.
         """
-        clone = object.__new__(LaneRngBank)
-        clone.sigmas = self.sigmas[indices]
-        clone.rngs = [self.rngs[int(index)] for index in indices]
+        clone = gather_lanes(self, indices)
         clone.noisy = bool((clone.sigmas > 0.0).any())
         return clone
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..blocks import NUM_BLOCKS, block_name
+from ..lanes import gather_lanes
 from .rcmodel import RCThermalModel
 
 
@@ -124,6 +125,15 @@ class BatchCrossingDetector:
     bit-equal to a scalar run fed the same readings.
     """
 
+    #: Per-lane (leading-axis) fields, gathered by :meth:`take`.
+    LANE_FIELDS = (
+        "emergency_k",
+        "_above_emergency",
+        "emergencies_per_block",
+        "total_emergencies",
+        "peak_k",
+    )
+
     def __init__(
         self,
         emergency_k: np.ndarray,
@@ -153,13 +163,7 @@ class BatchCrossingDetector:
         """New detector carrying the selected lanes' counters and edges.
 
         Used when a cohort splits: every per-lane row (threshold, edge
-        state, counts, peak) moves to the child as a copy — fancy indexing
-        — so sibling cohorts never alias each other's crossing state.
+        state, counts, peak) moves to the child as a copy, so sibling
+        cohorts never alias each other's crossing state.
         """
-        clone = object.__new__(BatchCrossingDetector)
-        clone.emergency_k = self.emergency_k[indices]
-        clone._above_emergency = self._above_emergency[indices]
-        clone.emergencies_per_block = self.emergencies_per_block[indices]
-        clone.total_emergencies = self.total_emergencies[indices]
-        clone.peak_k = self.peak_k[indices]
-        return clone
+        return gather_lanes(self, indices)

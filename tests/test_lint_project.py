@@ -1,18 +1,16 @@
 """repro.lint v2: project context, cross-module rules, baseline, CLI.
 
 The v1 rules keep their fixtures in ``test_lint.py``; this file covers the
-project-wide analysis context (symbol table, import/call graph, constant
-lattice, dict shapes) and everything built on it: RPR007
-transitive determinism taint, RPR008 payload schemas, RPR009 bank shapes,
-the findings baseline, the SARIF reporter, multi-line suppression, and the
-``--rule``/``--diff`` CLI flags.
+project-wide analysis context (symbol table, import/call graph, dict
+shapes) and everything built on it: RPR007 transitive determinism taint,
+RPR008 payload schemas, the findings baseline, the SARIF reporter,
+multi-line suppression, and the ``--rule``/``--diff`` CLI flags.
 """
 
 from __future__ import annotations
 
 import ast
 import json
-import shutil
 import subprocess
 import textwrap
 import time
@@ -24,9 +22,7 @@ from repro.lint.cli import main as lint_main
 from repro.lint.engine import _load_module, iter_python_files
 from repro.lint.findings import SuppressionMap
 from repro.lint.project import (
-    UNKNOWN,
     ProjectContext,
-    const_eval,
     dict_shape_at,
     module_dotted_name,
 )
@@ -131,29 +127,9 @@ class TestProjectContext:
             "analysis/io.py": "C = 3\n",
         })
         assert ctx.find_module("analysis.util") is not None
-        assert ctx.find_module("analysis.io").constants == {"C": 3}
+        assert ctx.find_module("analysis.io") is not None
         # Two modules end in ".util": a bare suffix must not guess.
         assert ctx.find_module("util") is None
-
-    def test_constant_lattice(self, tmp_path):
-        ctx = build_context(tmp_path, {
-            "config.py": """\
-                BASE = 2
-                SCALED = BASE * 3 + 1
-                NAMES = ("x", "y")
-                OPAQUE = object()
-                """,
-        })
-        constants = ctx.modules[0].constants
-        assert constants["BASE"] == 2 and constants["SCALED"] == 7
-        assert constants["NAMES"] == ("x", "y")
-        assert "OPAQUE" not in constants
-
-    def test_const_eval_unknown_propagates(self):
-        env = {"A": 3}
-        assert const_eval(ast.parse("A - 1", mode="eval").body, env) == 2
-        assert const_eval(ast.parse("A + B", mode="eval").body, env) is UNKNOWN
-        assert const_eval(ast.parse("-A", mode="eval").body, env) == -3
 
     def test_dict_shape_tracks_branch_keys(self, tmp_path):
         source = textwrap.dedent("""\
@@ -380,125 +356,6 @@ class TestPayloadSchemaRule:
         assert result.findings == [] and result.suppressed == 1
 
 
-# -- RPR009: SoA bank shapes --------------------------------------------------
-
-
-_BANK_TEMPLATE = textwrap.dedent("""\
-    import numpy as np
-
-    _ARRAY_FIELDS = {fields}
-
-    class Bank:
-        def __init__(self, n):
-            self.x = np.zeros(n, dtype=np.float64)
-            self.y = np.zeros(n, dtype=np.int64)
-            self.n = n
-
-        def take(self, idx):
-            clone = Bank.__new__(Bank)
-    {body}
-            clone.n = 1
-            return clone
-    """)
-
-
-def bank_module(fields: str, take_body: str) -> str:
-    body = textwrap.indent(textwrap.dedent(take_body), " " * 8).rstrip("\n")
-    return _BANK_TEMPLATE.format(fields=fields, body=body)
-
-
-GATHER_LOOP = """\
-    for name in _ARRAY_FIELDS:
-        setattr(clone, name, getattr(self, name)[idx])
-    """
-
-
-class TestBankShapeRule:
-    def test_complete_gather_loop_is_clean(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "sim/banks.py": bank_module('("x", "y")', GATHER_LOOP),
-        }, select=("RPR009",))
-        assert result.findings == []
-
-    def test_missing_array_field_fires(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "sim/banks.py": bank_module('("x",)', GATHER_LOOP),
-        }, select=("RPR009",))
-        assert codes(result) == ["RPR009"]
-        assert "does not carry array field 'y'" in result.findings[0].message
-
-    def test_stale_field_list_entry_fires(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "sim/banks.py": bank_module('("x", "y", "z")', GATHER_LOOP),
-        }, select=("RPR009",))
-        assert codes(result) == ["RPR009"]
-        assert "'z'" in result.findings[0].message
-        assert "stale" in result.findings[0].message
-
-    def test_clone_dtype_mismatch_fires(self, tmp_path):
-        body = """\
-            clone.x = np.zeros(len(idx), dtype=np.int32)
-            clone.y = self.y[idx]
-            """
-        result = lint_tree(tmp_path, {
-            "sim/banks.py": bank_module("()", body),
-        }, select=("RPR009",))
-        assert codes(result) == ["RPR009"]
-        assert "different dtype" in result.findings[0].message
-
-    def test_unresolvable_gather_loop_is_skipped(self, tmp_path):
-        body = """\
-            for name in self.fields():
-                setattr(clone, name, getattr(self, name)[idx])
-            """
-        result = lint_tree(tmp_path, {
-            "sim/banks.py": bank_module("()", body),
-        }, select=("RPR009",))
-        assert result.findings == []
-
-    def test_non_guarded_package_is_exempt(self, tmp_path):
-        result = lint_tree(tmp_path, {
-            "analysis/banks.py": bank_module('("x",)', GATHER_LOOP),
-        }, select=("RPR009",))
-        assert result.findings == []
-
-    def test_suppressed_clone_method(self, tmp_path):
-        source = bank_module('("x",)', GATHER_LOOP).replace(
-            "def take(self, idx):",
-            "def take(self, idx):  # repro: noqa(RPR009) y is rebuilt lazily",
-        )
-        result = lint_tree(tmp_path, {
-            "sim/banks.py": source,
-        }, select=("RPR009",))
-        assert result.findings == [] and result.suppressed == 1
-
-    def test_real_tree_rng_bank_take_covers_sigmas(self, tmp_path):
-        """Dropping the sigma gather from LaneRngBank.take fires RPR009."""
-        shutil.copytree(REPO_ROOT / "src", tmp_path / "src")
-        soa = tmp_path / "src" / "repro" / "sim" / "soa.py"
-        text = soa.read_text()
-        pristine = "        clone.sigmas = self.sigmas[indices]\n"
-        assert pristine in text
-        soa.write_text(text.replace(pristine, "", 1))
-        result = run_lint([tmp_path / "src"], LintConfig(select=("RPR009",)))
-        assert codes(result) == ["RPR009"]
-        assert "'sigmas'" in result.findings[0].message
-
-    def test_real_tree_cohort_take_keeps_group_rows_dtype(self, tmp_path):
-        shutil.copytree(REPO_ROOT / "src", tmp_path / "src")
-        cohort = tmp_path / "src" / "repro" / "sim" / "cohort.py"
-        text = cohort.read_text()
-        pristine = "child.group_rows = np.array(rows, dtype=np.int64)"
-        assert pristine in text
-        cohort.write_text(
-            text.replace(pristine, pristine.replace("int64", "int32"), 1)
-        )
-        result = run_lint([tmp_path / "src"], LintConfig(select=("RPR009",)))
-        assert codes(result) == ["RPR009"]
-        assert "different dtype" in result.findings[0].message
-        assert "group_rows" in result.findings[0].message
-
-
 # -- the findings baseline ----------------------------------------------------
 
 
@@ -646,7 +503,7 @@ class TestSarifReporter:
         run = payload["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro.lint"
         ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-        assert ids == sorted(ids) and len(ids) == 8
+        assert ids == sorted(ids) and len(ids) == 7
         entry = run["results"][0]
         assert entry["ruleId"] == "RPR007"
         assert ids[entry["ruleIndex"]] == "RPR007"
