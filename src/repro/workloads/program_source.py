@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from ..branch import BranchPredictor
 from ..isa.executor import ArchExecutor
+from ..isa.instructions import OPCODES
 from ..isa.program import Program
-from ..pipeline.uop import ISA_CLASS_CODE, OP_BRANCH, Uop
+from ..pipeline.uop import ISA_CLASS_CODE, OP_BRANCH, OP_NOP, Uop
 
 #: Byte size of one encoded instruction (fixed-width ISA).
 INSTRUCTION_BYTES = 4
@@ -47,10 +48,13 @@ class ProgramSource:
         self._data_base = base
         self.executor = ArchExecutor(program)
         #: per instruction index: (opclass code, dest, source registers) —
-        #: the static half of every uop, decoded once
+        #: the static half of every uop, decoded once.  An opcode with no
+        #: spec gets a placeholder class: the executor raises on reaching it.
         self._decoded = [
             (
-                ISA_CLASS_CODE[instruction.opclass.value],
+                ISA_CLASS_CODE[OPCODES[instruction.opcode].opclass.value]
+                if instruction.opcode in OPCODES
+                else OP_NOP,
                 -1 if instruction.dest is None else instruction.dest,
                 instruction.source_registers(),
             )
@@ -83,28 +87,25 @@ class ProgramSource:
         if executor.halted:
             return None
         index = executor.pc
-        pc_bytes = self._code_base + index * INSTRUCTION_BYTES
-        result = executor.step()
-        if result.halted:
+        outcome = executor.advance()
+        if outcome is None:
             return None
+        address, taken, next_pc = outcome
         opclass, dest, srcs = self._decoded[index]
+        pc_bytes = self._code_base + index * INSTRUCTION_BYTES
 
         mispredict = False
-        taken = False
         if opclass == OP_BRANCH:
-            taken = result.taken
-            target_bytes = self._code_base + result.next_pc * INSTRUCTION_BYTES
             correct = self.predictor.update(
-                self._predictor_slot, pc_bytes, taken, target_bytes
+                self._predictor_slot,
+                pc_bytes,
+                taken,
+                self._code_base + next_pc * INSTRUCTION_BYTES,
             )
-            mispredict = not correct
             self.branches += 1
-            if mispredict:
+            if not correct:
+                mispredict = True
                 self.mispredicts += 1
-
-        address = -1
-        if result.address is not None:
-            address = self._data_base + result.address
 
         return Uop(
             self.thread_id,
@@ -112,7 +113,7 @@ class ProgramSource:
             opclass,
             dest,
             srcs,
-            address,
+            -1 if address is None else self._data_base + address,
             taken,
             mispredict,
         )

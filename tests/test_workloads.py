@@ -1,6 +1,8 @@
 """Workload tests: profiles, synthetic generator, malicious kernels, registry."""
 
+import copy
 import dataclasses
+import random
 
 import pytest
 
@@ -138,6 +140,62 @@ class TestSyntheticSource:
         source.prefill(hierarchy)
         assert hierarchy.l1d.occupancy > 0
         assert hierarchy.l2.occupancy > hierarchy.l1d.occupancy
+
+
+def _static_rows(source, count):
+    rows = []
+    for _ in range(count):
+        uop = source.next_uop()
+        rows.append((uop.pc, uop.opclass, uop.dest, uop.srcs, uop.address,
+                     uop.taken, uop.mispredict))
+    return rows
+
+
+class TestInlinedDraws:
+    """Guards for what SyntheticSource.next_uop writes inline."""
+
+    def test_below_n_loop_matches_randrange(self):
+        # next_uop draws randrange(n) as CPython's own rejection loop over
+        # getrandbits(n.bit_length()); an interpreter whose randrange draws
+        # differently would change every synthetic stream.
+        bounds = {6: (6).bit_length()}
+        for profile in SPEC_PROFILES.values():
+            source = SyntheticSource(profile, 0)
+            bounds[source._warm_lines] = source._warm_bits
+            bounds[source._hot_lines] = source._hot_bits
+        for n, bits in bounds.items():
+            assert bits == n.bit_length()
+            for seed in range(40):
+                inline = random.Random(seed)
+                reference = random.Random(seed)
+                for _ in range(60):
+                    value = inline.getrandbits(bits)
+                    while value >= n:
+                        value = inline.getrandbits(bits)
+                    assert value == reference.randrange(n), (
+                        f"randrange({n}) no longer draws getrandbits({bits}) "
+                        "with rejection; SyntheticSource.next_uop's inlined "
+                        "draws must follow the interpreter's randrange"
+                    )
+                assert inline.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("name", ["gzip", "swim", "mcf"])
+    def test_deepcopy_mid_stream_continues_independently(self, name):
+        source = SyntheticSource(get_profile(name), 1, seed=11)
+        reference = SyntheticSource(get_profile(name), 1, seed=11)
+        _static_rows(source, 3000)
+        _static_rows(reference, 3000)
+        clone = copy.deepcopy(source)
+        assert clone._getrandbits.__self__ is clone._rng
+        assert clone._random.__self__ is clone._rng
+        cloned = _static_rows(clone, 4000)
+        # Had the clone kept the original's bound RNG methods, its draws
+        # would have advanced the original's stream.
+        original = _static_rows(source, 4000)
+        expected = _static_rows(reference, 4000)
+        assert cloned == expected
+        assert original == expected
+        assert source._rng.getstate() == clone._rng.getstate()
 
 
 class TestMaliciousKernels:
